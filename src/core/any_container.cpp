@@ -6,8 +6,6 @@
 // (DESIGN.md §11 has the multi-concept recipe).
 #include "core/any_container.hpp"
 
-#include <vector>
-
 #include "core/deque.hpp"
 #include "core/ms_queue.hpp"
 #include "core/treiber_stack.hpp"
@@ -30,25 +28,8 @@ class TypedAnyContainer final : public detail::AnyContainerImpl {
 
  public:
   explicit TypedAnyContainer(const AnyContainerOptions& options)
-      : smr_(options.smr),
-        ds_(std::make_unique<DS>(smr_)),
-        handles_(options.smr.max_threads) {}
+      : smr_(options.smr), ds_(std::make_unique<DS>(smr_)) {}
 
-  // --- deprecated tid surface ---------------------------------------------
-  bool push_front(unsigned tid, V value) override {
-    return do_push_front(handle(tid), value);
-  }
-  bool push_back(unsigned tid, V value) override {
-    return do_push_back(handle(tid), value);
-  }
-  std::optional<V> pop_front(unsigned tid) override {
-    return do_pop_front(handle(tid));
-  }
-  std::optional<V> pop_back(unsigned tid) override {
-    return do_pop_back(handle(tid));
-  }
-
-  // --- session surface ----------------------------------------------------
   void* join_handle() override { return &smr_.join(); }
   void leave_handle(void* h) override { smr_.leave(*static_cast<Handle*>(h)); }
   bool push_front_with(void* h, V value) override {
@@ -66,20 +47,8 @@ class TypedAnyContainer final : public detail::AnyContainerImpl {
 
   std::size_t size_unsafe() const override { return ds_->size_unsafe(); }
   std::int64_t pending_nodes() const override { return smr_.pending_nodes(); }
-  std::uint64_t restarts() const override {
-    std::uint64_t n = 0;
-    for (const auto* r = smr_.registry().head(); r != nullptr;
-         r = r->next_record())
-      n += r->handle.ds_restarts;
-    return n;
-  }
-  std::uint64_t recoveries() const override {
-    std::uint64_t n = 0;
-    for (const auto* r = smr_.registry().head(); r != nullptr;
-         r = r->next_record())
-      n += r->handle.ds_recoveries;
-    return n;
-  }
+  std::uint64_t restarts() const override { return smr_.restarts(); }
+  std::uint64_t recoveries() const override { return smr_.recoveries(); }
   unsigned active_handles() const override { return smr_.active_handles(); }
   std::size_t total_handle_records() const override {
     return smr_.total_handle_records();
@@ -135,34 +104,10 @@ class TypedAnyContainer final : public detail::AnyContainerImpl {
     }
   }
 
-  Handle& handle(unsigned tid) {
-    auto& slot = handles_.at(tid);
-    Handle* h = slot.load(std::memory_order_acquire);
-    if (h == nullptr) {
-#ifndef SCOT_DISALLOW_TID_SHIM
-      h = &smr_.handle(tid);  // shim: joins + pins once, mutex on this path
-      slot.store(h, std::memory_order_release);
-#else
-      // Shim compiled out: join directly; the CAS tolerates two threads
-      // racing the same tid (see TypedAnyMap::handle).
-      h = &smr_.join();
-      Handle* expected = nullptr;
-      if (!slot.compare_exchange_strong(expected, h,
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_acquire)) {
-        smr_.leave(*h);
-        h = expected;
-      }
-#endif
-    }
-    return *h;
-  }
-
   // Declaration order is destruction order in reverse: the structure's
   // teardown deallocates through the domain, so the domain must outlive it.
   mutable Smr smr_;
   std::unique_ptr<DS> ds_;
-  std::vector<std::atomic<Handle*>> handles_;
 };
 
 template <class Smr, class DS>

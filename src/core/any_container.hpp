@@ -16,9 +16,8 @@
 // make() checking the requested StructureId against its ContainerKind so a
 // stack cannot be opened as a queue.
 //
-// Threading contract: identical to AnyMap — prefer one `Session` per worker
-// thread (dynamic join/leave, no thread cap); the tid-indexed surface is the
-// deprecated fixed-capacity fallback.
+// Threading contract: identical to AnyMap — one `Session` per worker thread
+// (dynamic join/leave, no thread cap).
 #pragma once
 
 #include <cstdint>
@@ -45,12 +44,8 @@ namespace detail {
 class AnyContainerImpl {
  public:
   virtual ~AnyContainerImpl() = default;
-  // Union surface; unsupported ends return false / nullopt.
-  virtual bool push_front(unsigned tid, std::uint64_t value) = 0;
-  virtual bool push_back(unsigned tid, std::uint64_t value) = 0;
-  virtual std::optional<std::uint64_t> pop_front(unsigned tid) = 0;
-  virtual std::optional<std::uint64_t> pop_back(unsigned tid) = 0;
-  // Session surface (opaque joined handle; see AnyMapImpl).
+  // Session surface (opaque joined handle; see AnyMapImpl).  Union of the
+  // three shapes; unsupported ends return false / nullopt.
   virtual void* join_handle() = 0;
   virtual void leave_handle(void* h) = 0;
   virtual bool push_front_with(void* h, std::uint64_t value) = 0;
@@ -129,16 +124,6 @@ class AnyContainer {
   // Opens a session for the calling thread.  The container must outlive it.
   Session session() { return Session(impl_.get()); }
 
-  // --- operations (deprecated fixed-capacity tid surface) ------------------
-  bool push_front(unsigned tid, Value value) {
-    return impl_->push_front(tid, value);
-  }
-  bool push_back(unsigned tid, Value value) {
-    return impl_->push_back(tid, value);
-  }
-  std::optional<Value> pop_front(unsigned tid) { return impl_->pop_front(tid); }
-  std::optional<Value> pop_back(unsigned tid) { return impl_->pop_back(tid); }
-
   // --- observers (same meanings as AnyMap's) -------------------------------
   std::size_t size_unsafe() const { return impl_->size_unsafe(); }
   std::int64_t pending_nodes() const { return impl_->pending_nodes(); }
@@ -207,9 +192,6 @@ class AnyQueue {
 
   Session session() { return Session(c_.session()); }
 
-  bool enqueue(unsigned tid, Value v) { return c_.push_back(tid, v); }
-  std::optional<Value> dequeue(unsigned tid) { return c_.pop_front(tid); }
-
   AnyContainer& container() { return c_; }
   const AnyContainer& container() const { return c_; }
   std::size_t size_unsafe() const { return c_.size_unsafe(); }
@@ -249,9 +231,6 @@ class AnyStack {
   };
 
   Session session() { return Session(c_.session()); }
-
-  bool push(unsigned tid, Value v) { return c_.push_front(tid, v); }
-  std::optional<Value> pop(unsigned tid) { return c_.pop_front(tid); }
 
   AnyContainer& container() { return c_; }
   const AnyContainer& container() const { return c_; }
@@ -294,11 +273,6 @@ class AnyDeque {
   };
 
   Session session() { return Session(c_.session()); }
-
-  bool push_left(unsigned tid, Value v) { return c_.push_front(tid, v); }
-  bool push_right(unsigned tid, Value v) { return c_.push_back(tid, v); }
-  std::optional<Value> pop_left(unsigned tid) { return c_.pop_front(tid); }
-  std::optional<Value> pop_right(unsigned tid) { return c_.pop_back(tid); }
 
   AnyContainer& container() { return c_; }
   const AnyContainer& container() const { return c_; }

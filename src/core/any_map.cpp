@@ -5,8 +5,6 @@
 // value + name row in the matching registry header (DESIGN.md §6).
 #include "core/any_map.hpp"
 
-#include <vector>
-
 #include "core/core.hpp"
 
 namespace scot {
@@ -30,30 +28,8 @@ class TypedAnyMap final : public detail::AnyMapImpl {
 
  public:
   explicit TypedAnyMap(const AnyMapOptions& options)
-      : smr_(options.smr),
-        ds_(make_ds(smr_, options)),
-        handles_(options.smr.max_threads) {}
+      : smr_(options.smr), ds_(make_ds(smr_, options)) {}
 
-  // --- deprecated tid surface ---------------------------------------------
-  // The per-operation path must not pay the shim's mutex on every call, so
-  // resolved handle pointers are cached per tid: one acquire load on the
-  // hot path, the join happens on first touch only.  (The v1 typed loop
-  // hoisted the handle reference out of the hot loop; this is the
-  // type-erased equivalent under lazy membership.)
-  bool insert(unsigned tid, K key, V value) override {
-    return ds_->insert(handle(tid), key, value);
-  }
-  bool erase(unsigned tid, K key) override {
-    return ds_->erase(handle(tid), key);
-  }
-  bool contains(unsigned tid, K key) override {
-    return ds_->contains(handle(tid), key);
-  }
-  std::optional<V> get(unsigned tid, K key) override {
-    return ds_->get(handle(tid), key);
-  }
-
-  // --- session surface ----------------------------------------------------
   void* join_handle() override { return &smr_.join(); }
   void leave_handle(void* h) override { smr_.leave(*static_cast<Handle*>(h)); }
   bool insert_with(void* h, K key, V value) override {
@@ -71,23 +47,8 @@ class TypedAnyMap final : public detail::AnyMapImpl {
 
   std::size_t size_unsafe() const override { return ds_->size_unsafe(); }
   std::int64_t pending_nodes() const override { return smr_.pending_nodes(); }
-  // Table 2 telemetry: walk every registry record ever created — the
-  // ds_* counters are cumulative across claim/release reuse, so departed
-  // sessions' restarts are not lost.
-  std::uint64_t restarts() const override {
-    std::uint64_t n = 0;
-    for (const auto* r = smr_.registry().head(); r != nullptr;
-         r = r->next_record())
-      n += r->handle.ds_restarts;
-    return n;
-  }
-  std::uint64_t recoveries() const override {
-    std::uint64_t n = 0;
-    for (const auto* r = smr_.registry().head(); r != nullptr;
-         r = r->next_record())
-      n += r->handle.ds_recoveries;
-    return n;
-  }
+  std::uint64_t restarts() const override { return smr_.restarts(); }
+  std::uint64_t recoveries() const override { return smr_.recoveries(); }
   unsigned active_handles() const override { return smr_.active_handles(); }
   std::size_t total_handle_records() const override {
     return smr_.total_handle_records();
@@ -104,38 +65,10 @@ class TypedAnyMap final : public detail::AnyMapImpl {
     }
   }
 
-  Handle& handle(unsigned tid) {
-    auto& slot = handles_.at(tid);
-    Handle* h = slot.load(std::memory_order_acquire);
-    if (h == nullptr) {
-#ifndef SCOT_DISALLOW_TID_SHIM
-      h = &smr_.handle(tid);  // shim: joins + pins once, mutex on this path
-      slot.store(h, std::memory_order_release);
-#else
-      // Shim compiled out: join directly.  Same pin-forever semantics (the
-      // slot caches the handle for the map's lifetime), without routing
-      // through the deprecated tid-indexed surface.  The CAS covers the
-      // (contract-violating, but cheap to tolerate) case of two threads
-      // racing the same tid: the loser releases its fresh handle and uses
-      // the winner's.
-      h = &smr_.join();
-      Handle* expected = nullptr;
-      if (!slot.compare_exchange_strong(expected, h,
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_acquire)) {
-        smr_.leave(*h);
-        h = expected;
-      }
-#endif
-    }
-    return *h;
-  }
-
   // Declaration order is destruction order in reverse: the structure's
   // teardown deallocates through the domain, so the domain must outlive it.
   mutable Smr smr_;
   std::unique_ptr<DS> ds_;
-  std::vector<std::atomic<Handle*>> handles_;
 };
 
 template <class Smr, class DS>

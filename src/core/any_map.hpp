@@ -9,13 +9,10 @@
 // runs, protect() included, so the PR 3 asymmetric-fence fast path is
 // untouched (acceptance-checked by bench_micro_smr against BENCH_pr3.json).
 //
-// Threading contract.  The preferred surface is `AnyMap::Session`: each
-// worker thread opens a session (`map.session()`), which joins the
-// underlying domain's dynamic handle registry, and operates through it —
-// no tid, no fixed thread cap, threads may come and go for the life of the
-// map.  The tid-indexed calls remain as the deprecated fixed-capacity
-// surface: `tid` selects a lazily joined, permanently pinned handle and
-// must be dense in [0, options.smr.max_threads).
+// Threading contract.  Each worker thread opens an `AnyMap::Session`
+// (`map.session()`), which joins the underlying domain's dynamic handle
+// registry, and operates through it — no fixed thread cap, threads may
+// come and go for the life of the map.
 #pragma once
 
 #include <cstdint>
@@ -42,13 +39,8 @@ namespace detail {
 class AnyMapImpl {
  public:
   virtual ~AnyMapImpl() = default;
-  virtual bool insert(unsigned tid, std::uint64_t key, std::uint64_t value) = 0;
-  virtual bool erase(unsigned tid, std::uint64_t key) = 0;
-  virtual bool contains(unsigned tid, std::uint64_t key) = 0;
-  virtual std::optional<std::uint64_t> get(unsigned tid, std::uint64_t key) = 0;
-  // Session surface: a handle is joined/left through the type-erased
-  // boundary as an opaque pointer; the *_with calls skip the tid lookup
-  // entirely (the session holds the resolved handle).
+  // A handle is joined/left through the type-erased boundary as an opaque
+  // pointer; the *_with calls run the operation on it.
   virtual void* join_handle() = 0;
   virtual void leave_handle(void* h) = 0;
   virtual bool insert_with(void* h, std::uint64_t key, std::uint64_t value) = 0;
@@ -84,7 +76,7 @@ class AnyMap {
   // One thread's membership in the map's reclamation domain: joins the
   // dynamic handle registry on construction, leaves (donating any pending
   // retires for adoption) on destruction.  Move-only; use one Session per
-  // thread and do not share it.  This replaces the tid calls:
+  // thread and do not share it:
   //
   //   auto s = map.session();
   //   s.insert(k, v);  s.contains(k);  ...
@@ -137,18 +129,6 @@ class AnyMap {
   // Opens a session for the calling thread.  The map must outlive it.
   Session session() { return Session(impl_.get()); }
 
-  // --- operations (one virtual hop each; `tid` picks the handle) ----------
-  // DEPRECATED fixed-capacity surface: lazily joins one pinned handle per
-  // tid in [0, max_threads).  Prefer session().
-  bool insert(unsigned tid, Key key, Value value = {}) {
-    return impl_->insert(tid, key, value);
-  }
-  bool erase(unsigned tid, Key key) { return impl_->erase(tid, key); }
-  bool contains(unsigned tid, Key key) { return impl_->contains(tid, key); }
-  std::optional<Value> get(unsigned tid, Key key) {
-    return impl_->get(tid, key);
-  }
-
   // --- observers -----------------------------------------------------------
   // Single-threaded full iteration over the structure (tests/teardown only).
   std::size_t size_unsafe() const { return impl_->size_unsafe(); }
@@ -158,8 +138,8 @@ class AnyMap {
   // counters are cumulative across join/leave reuse).
   std::uint64_t restarts() const { return impl_->restarts(); }
   std::uint64_t recoveries() const { return impl_->recoveries(); }
-  // Handle-registry gauges: sessions currently open (plus pinned tid
-  // handles), and the high-water record count.
+  // Handle-registry gauges: sessions currently open, and the high-water
+  // record count.
   unsigned active_handles() const { return impl_->active_handles(); }
   std::size_t total_handle_records() const {
     return impl_->total_handle_records();

@@ -51,7 +51,7 @@
 
 namespace scot {
 
-template <class T, SmrDomainV2 Smr>
+template <class T, SmrDomain Smr>
 class Deque {
  public:
   enum class Status : std::uint8_t { kStable, kRPush, kLPush };
@@ -327,7 +327,7 @@ class Deque {
   // escape (the protected snapshot is reused to finish someone else's
   // stabilization instead of spinning on the anchor).
   void help_stabilize(Guard& g, Hp& hp, Anchor* A) {
-    ++g.handle().ds_recoveries;
+    g.handle().count_recovery();
     if (A->status == Status::kRPush) {
       stabilize_end<false>(g, hp, A);
     } else {
@@ -377,7 +377,7 @@ class Deque {
   }
 
   void restart(Guard& g) {
-    ++g.handle().ds_restarts;
+    g.handle().count_restart();
     g.revalidate();
   }
 

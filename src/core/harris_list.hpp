@@ -25,7 +25,7 @@
 //   kRecovery  — §3.2.1 recovery optimization;
 //   kWaitFree  — §3.4 wait-free Search via the helping protocol.
 //
-// Protection roles (API v2 guard slots, allocated in ascending order so the
+// Protection roles (guard slots, allocated in ascending order so the
 // ascending-dup discipline of paper §3.2 holds by construction):
 //   hp.next = next, hp.curr = curr, hp.prev = last safe, hp.unsafe = first
 //   unsafe.
@@ -65,7 +65,7 @@ struct HarrisListWaitFreeTraits : HarrisListTraits {
   static constexpr bool kWaitFree = true;
 };
 
-template <class Key, class Value, SmrDomainV2 Smr,
+template <class Key, class Value, SmrDomain Smr,
           class Traits = HarrisListTraits, class Compare = std::less<Key>>
 class HarrisList {
  public:
@@ -299,7 +299,7 @@ class HarrisList {
     goto init;
 
   restart:
-    ++h.ds_restarts;
+    h.count_restart();
     if (!control.on_restart()) return FindOutcome::kAborted;
 
   init:
@@ -368,7 +368,7 @@ class HarrisList {
             // new successor instead of restarting from the head.
             MP w = prev->load(std::memory_order_seq_cst);
             if (!w.marked()) {
-              ++h.ds_recoveries;
+              h.count_recovery();
               tmp = hp.curr.protect(*prev);
               if (!g.valid()) goto restart;
               if (tmp.marked()) goto restart;  // prev got marked meanwhile

@@ -8,7 +8,7 @@
 // list pays extra CAS traffic and restarts under contention (Table 2 of the
 // paper reports restart rates up to 8.19% at 256 threads).
 //
-// Protection roles (API v2 guard slots, ascending-dup discipline):
+// Protection roles (guard slots, ascending-dup discipline):
 //   hp.next = next, hp.curr = curr, hp.prev = prev.
 #pragma once
 
@@ -25,7 +25,7 @@
 
 namespace scot {
 
-template <class Key, class Value, SmrDomainV2 Smr,
+template <class Key, class Value, SmrDomain Smr,
           class Compare = std::less<Key>>
 class HarrisMichaelList {
  public:
@@ -213,7 +213,7 @@ class HarrisMichaelList {
   }
 
   void restart(Guard& g) {
-    ++g.handle().ds_restarts;
+    g.handle().count_restart();
     g.revalidate();
   }
 

@@ -22,7 +22,7 @@
 
 namespace scot {
 
-template <class Key, class Value, SmrDomainV2 Smr,
+template <class Key, class Value, SmrDomain Smr,
           class Traits = HarrisListTraits, class Hash = std::hash<Key>,
           class Compare = std::less<Key>>
 class HashMap {

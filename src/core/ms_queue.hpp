@@ -1,5 +1,5 @@
 // The Michael-Scott lock-free FIFO queue (PODC 1996), written against the
-// guard API v2 with the paper's recovery discipline applied to its shape.
+// guard API with the paper's recovery discipline applied to its shape.
 //
 // A queue has no traversal to recover: both anchors (head_, tail_) are
 // single links, so the SCOT discipline degenerates to protect-and-validate
@@ -39,7 +39,7 @@
 
 namespace scot {
 
-template <class T, SmrDomainV2 Smr>
+template <class T, SmrDomain Smr>
 class MSQueue {
  public:
   struct Node : ReclaimNode {
@@ -116,7 +116,7 @@ class MSQueue {
         tail_.compare_exchange_strong(te, next.clean(),
                                       std::memory_order_seq_cst,
                                       std::memory_order_relaxed);
-        ++h.ds_recoveries;
+        h.count_recovery();
       }
     }
   }
@@ -149,7 +149,7 @@ class MSQueue {
         tail_.compare_exchange_strong(t, MP(next.get()),
                                       std::memory_order_seq_cst,
                                       std::memory_order_relaxed);
-        ++h.ds_recoveries;
+        h.count_recovery();
       }
       // Read the value before the head CAS: next is protected, and a
       // node's value is immutable after publication, so the read is safe
@@ -180,7 +180,7 @@ class MSQueue {
 
  private:
   void restart(Guard& g) {
-    ++g.handle().ds_restarts;
+    g.handle().count_restart();
     g.revalidate();
   }
 

@@ -9,7 +9,7 @@
 // Harris' list, traversals walk optimistically across tagged edges, which
 // is fundamentally unsafe under HP/HE/IBR/Hyaline-1S.
 //
-// SCOT protection roles (paper §3.3; API v2 guard slots in index order):
+// SCOT protection roles (paper §3.3; guard slots in index order):
 //   hp.child  = current child being followed   hp.succ = successor (zone
 //   hp.leaf   = current leaf candidate                    entrance)
 //   hp.parent = parent of the leaf             hp.anc  = ancestor
@@ -48,7 +48,7 @@
 
 namespace scot {
 
-template <class Key, class Value, SmrDomainV2 Smr,
+template <class Key, class Value, SmrDomain Smr,
           class Compare = std::less<Key>>
 class NatarajanMittalTree {
  public:
@@ -289,7 +289,7 @@ class NatarajanMittalTree {
 
   // SCOT-protected seek (paper §3.3).
   void seek(Guard& g, Hp& hp, const Key& key, SeekRecord& s) {
-    while (!try_seek(g, hp, key, s)) ++g.handle().ds_restarts;
+    while (!try_seek(g, hp, key, s)) g.handle().count_restart();
   }
 
   bool try_seek(Guard& g, Hp& hp, const Key& key, SeekRecord& s) {

@@ -23,7 +23,7 @@
 // (absence from the adjacent chain at each level implies absence from the
 // level, because all intermediate nodes with smaller keys are marked).
 //
-// Protection roles per level (API v2 guard slots, ascending-dup
+// Protection roles per level (guard slots, ascending-dup
 // discipline as in the list): hp.next, hp.curr, hp.prev (last safe),
 // hp.unsafe (first unsafe), plus hp.own — held by insert() on its *own*
 // node across the upper-level linking phase.
@@ -53,7 +53,7 @@ struct SkipListEagerTraits : SkipListTraits {
   static constexpr bool kEagerUnlink = true;  // Herlihy-Shavit discipline
 };
 
-template <class Key, class Value, SmrDomainV2 Smr,
+template <class Key, class Value, SmrDomain Smr,
           class Traits = SkipListTraits, class Compare = std::less<Key>>
 class SkipList {
  public:
@@ -397,7 +397,7 @@ class SkipList {
   }
 
   bool fail(Guard& g) {
-    ++g.handle().ds_restarts;
+    g.handle().count_restart();
     return false;
   }
 

@@ -1,5 +1,5 @@
 // The Treiber lock-free LIFO stack (IBM TR RJ5118, 1986), written against
-// the guard API v2.
+// the guard API.
 //
 // The stack is the degenerate case of the paper's discipline: one anchor
 // (top_), zero-length traversals, so "restart" and "recover" coincide — a
@@ -29,7 +29,7 @@
 
 namespace scot {
 
-template <class T, SmrDomainV2 Smr>
+template <class T, SmrDomain Smr>
 class TreiberStack {
  public:
   struct Node : ReclaimNode {
@@ -114,7 +114,7 @@ class TreiberStack {
 
  private:
   void restart(Guard& g) {
-    ++g.handle().ds_restarts;
+    g.handle().count_restart();
     g.revalidate();
   }
 

@@ -50,20 +50,8 @@ class TypedAnyKv final : public detail::AnyKvImpl {
 
   std::size_t size_unsafe() override { return map_.size_unsafe(); }
   std::int64_t pending_nodes() const override { return smr_.pending_nodes(); }
-  std::uint64_t restarts() const override {
-    std::uint64_t n = 0;
-    for (const auto* r = smr_.registry().head(); r != nullptr;
-         r = r->next_record())
-      n += r->handle.ds_restarts;
-    return n;
-  }
-  std::uint64_t recoveries() const override {
-    std::uint64_t n = 0;
-    for (const auto* r = smr_.registry().head(); r != nullptr;
-         r = r->next_record())
-      n += r->handle.ds_recoveries;
-    return n;
-  }
+  std::uint64_t restarts() const override { return smr_.restarts(); }
+  std::uint64_t recoveries() const override { return smr_.recoveries(); }
   unsigned active_handles() const override { return smr_.active_handles(); }
   obs::StatsSnapshot stats() const override { return smr_.stats(); }
   std::size_t bucket_count() const override { return map_.bucket_count(); }

@@ -3,12 +3,10 @@
 // AnyKvRegistry (core/registry.hpp).  One AnyKv is one KvStore shard; the
 // sharded facade lives in kv/kv_store.hpp.
 //
-// Unlike AnyMap there is no deprecated tid surface here: the kv layer
-// post-dates the dynamic handle registry, so sessions are the only way in.
-// Each worker thread opens `kv.session()` (joins the shard domain's handle
-// registry) and operates through it with string_view keys and values; the
-// value bytes are copied into pooled blob cells on put and copied out on
-// get.
+// As with AnyMap, sessions are the only way in: each worker thread opens
+// `kv.session()` (joins the shard domain's handle registry) and operates
+// through it with string_view keys and values; the value bytes are copied
+// into pooled blob cells on put and copied out on get.
 #pragma once
 
 #include <cstdint>

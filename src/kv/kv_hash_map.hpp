@@ -165,7 +165,7 @@ enum class KvPut {
   kRejected,   // key or value exceeds the pooled-cell ceiling
 };
 
-template <SmrDomainV2 Smr>
+template <SmrDomain Smr>
 class KvHashMap {
  public:
   using Handle = typename Smr::Handle;
@@ -423,7 +423,7 @@ class KvHashMap {
   }
 
   void restart(Guard& g) {
-    ++g.handle().ds_restarts;
+    g.handle().count_restart();
     g.revalidate();
   }
 

@@ -1,8 +1,9 @@
-// SCOT — single public entry point (API v2).
+// SCOT — single public entry point.
 //
 // One include gives the whole library surface:
 //
-//   * the reclamation schemes and the SmrDomainV2 contract (smr/smr.hpp),
+//   * the reclamation schemes, built on one shared domain skeleton
+//     (smr/domain_core.hpp), and the SmrDomain concept (smr/smr.hpp),
 //   * the typed guard-centric protection API — TraversalGuard,
 //     ProtectionSlot, Protected<T> (smr/guard.hpp),
 //   * the SCOT data structures (core/core.hpp),
@@ -19,7 +20,7 @@
 // Typed quick start (per-thread membership is dynamic: scoped_handle()
 // joins the domain's handle registry and leaves at scope exit):
 //
-//   scot::SmrConfig cfg;   cfg.max_threads = 4;
+//   scot::SmrConfig cfg;   cfg.scan_threshold = 64;
 //   scot::HpDomain smr(cfg);
 //   scot::HarrisList<uint64_t, uint64_t, scot::HpDomain> list(smr);
 //   auto h = scot::scoped_handle(smr);

@@ -1,9 +1,8 @@
-// API v2: typed, guard-centric protection (DESIGN.md §6).
+// Typed, guard-centric protection (DESIGN.md §6).
 //
-// The v1 contract exposed raw slot indices: data structures called
-// `h.protect(src, idx)` / `h.dup(i, j)` and had to maintain the paper's
-// ascending-index discipline by hand with `kHp*` constants.  v2 wraps that
-// in three small types:
+// A handle exposes raw slot indices — `h.protect(src, idx)` /
+// `h.dup(i, j)` — and the paper's ascending-index discipline would have to
+// be kept by hand.  This header wraps them in three small types:
 //
 //   * `Protected<T>` — a typed view of a pointer (plus its logical-deletion
 //     bits) that a protection slot currently covers.  Invariants: it only
@@ -17,17 +16,14 @@
 //     construction, end_op on destruction, slot allocation in between, and
 //     the funnel for op_valid()/revalidate_op() polling.
 //
-// Everything here is a zero-cost veneer over the v1 handle calls: slots are
-// (handle, index) pairs resolved at compile time, so the per-protect fast
-// path (including the PR 3 asymmetric-fence publication) is byte-identical
-// to v1.  The v1 calls keep working through HandleCore — v2 does not fork
-// the schemes, it renames their call sites.
+// Everything here is a zero-cost veneer over the indexed handle calls:
+// slots are (handle, index) pairs resolved at compile time, so the
+// per-protect fast path (including the asymmetric-fence publication) is
+// byte-identical to calling the handle directly.
 //
-// Obtaining the Handle a TraversalGuard wraps: new code should use
-// `auto h = scoped_handle(domain)` (smr/handle_registry.hpp) — RAII
-// join/leave against the dynamic handle registry — and construct guards
-// from `*h`.  The tid-indexed `domain.handle(tid)` spelling still works but
-// pins a registry record forever (deprecated shim).
+// Obtaining the Handle a TraversalGuard wraps: `auto h =
+// scoped_handle(domain)` (smr/handle_registry.hpp) — RAII join/leave
+// against the dynamic handle registry — and construct guards from `*h`.
 #pragma once
 
 #include <cassert>
@@ -83,7 +79,7 @@ class Protected {
 
 // One named protection role, bound to a fixed per-thread slot index for the
 // lifetime of an operation.  Copyable (it is just a handle + index); the
-// *slot contents* are owned by the handle, exactly as in v1.
+// *slot contents* are owned by the handle.
 template <class Handle, class T>
 class ProtectionSlot {
  public:
@@ -122,7 +118,6 @@ class ProtectionSlot {
 
 // RAII owner of one SMR operation: brackets begin_op/end_op, allocates
 // protection slots in ascending order, and funnels validity polling.
-// Supersedes OpGuard (which remains as the v1 compatibility spelling).
 template <class Handle>
 class TraversalGuard {
  public:

@@ -1,23 +1,30 @@
-// CRTP base shared by the per-thread handles of all reclamation schemes.
+// CRTP bases shared by the per-thread handles of all reclamation schemes.
 //
 // A Handle is the per-thread facade of a reclamation domain: all allocation,
-// protection and retirement flows through it.  Handles are *not* thread-safe;
-// handle `tid` must only ever be used by one thread at a time (the benchmark
-// harness and tests enforce this).
+// protection and retirement flows through it.  Handles are *not*
+// thread-safe: a handle is owned by the thread that claimed it with join()
+// (or scoped_handle) until that thread's matching leave(), and only the
+// owner may call into it in between.  The registry record behind it may be
+// claimed by another thread after the leave.
 #pragma once
 
+#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <type_traits>
 #include <utility>
 
 #include "obs/stats.hpp"
+#include "obs/trace.hpp"
 #include "smr/guard.hpp"
 #include "smr/handle_registry.hpp"
 #include "smr/node_pool.hpp"
 #include "smr/reclaim_node.hpp"
 
 namespace scot {
+
+template <class Derived>
+class DomainCore;
 
 // Intrusive singly-linked list of retired nodes awaiting reclamation.  The
 // tail pointer (the oldest node — push prepends) makes whole-chain donation
@@ -74,10 +81,9 @@ inline unsigned adopt_orphans(OrphanList& orphans, LimboList& limbo) noexcept {
   return adopted;
 }
 
-// Derived must provide:
-//   Domain*  dom_;            (set by constructor)
-//   unsigned tid_;
-//   std::uint64_t on_alloc_era();   // birth era to stamp (0 for non-era schemes)
+// Base of every scheme handle.  Domain is the scheme's DomainCore-derived
+// domain; Derived may shadow the skeleton hooks below and
+// `std::uint64_t on_alloc_era()` (the birth era to stamp; 0 by default).
 template <class Domain, class Derived>
 class HandleCore {
  public:
@@ -89,6 +95,8 @@ class HandleCore {
   HandleCore(const HandleCore&) = delete;
   HandleCore& operator=(const HandleCore&) = delete;
 
+  // The registry record index: names this handle's pool shard and its
+  // wait-free help slot.  Stable across claim/release reuse of the record.
   unsigned tid() const noexcept { return tid_; }
   Domain& domain() noexcept { return *dom_; }
 
@@ -98,18 +106,7 @@ class HandleCore {
   // atomics).
   template <class T, class... Args>
   T* alloc(Args&&... args) {
-    static_assert(std::is_base_of_v<ReclaimNode, T>);
-    static_assert(std::is_trivially_destructible_v<T>,
-                  "pooled nodes must be trivially destructible");
-    void* mem = dom_->pool().alloc(tid_, sizeof(T));
-    // Stamp the birth era before the node can become reachable.  The header
-    // is outside the object, so placement-new below does not disturb it.
-    header_of(mem)->birth_era.store(derived()->on_alloc_era(),
-                                    std::memory_order_release);
-    T* n = new (mem) T(std::forward<Args>(args)...);
-    n->alloc_size = sizeof(T);
-    n->debug_state = kNodeLive;
-    return n;
+    return alloc_extra<T>(0, std::forward<Args>(args)...);
   }
 
   // alloc() with `extra` trailing bytes for inline variable-length payloads
@@ -127,6 +124,8 @@ class HandleCore {
     const std::size_t bytes = sizeof(T) + extra;
     assert(bytes <= NodePool::max_node_bytes());
     void* mem = dom_->pool().alloc(tid_, bytes);
+    // Stamp the birth era before the node can become reachable.  The header
+    // is outside the object, so placement-new below does not disturb it.
     header_of(mem)->birth_era.store(derived()->on_alloc_era(),
                                     std::memory_order_release);
     T* n = new (mem) T(std::forward<Args>(args)...);
@@ -143,10 +142,9 @@ class HandleCore {
     dom_->pool().free(tid_, n, n->alloc_size);
   }
 
-  // API v2 typed retirement: accepts the protected view a traversal already
-  // holds.  The derived scheme's retire(ReclaimNode*) stays the
-  // implementation; derived classes re-expose this overload with
-  // `using Base::retire;`.
+  // Typed retirement: accepts the protected view a traversal already holds.
+  // The scheme's retire(ReclaimNode*) stays the implementation; handles
+  // re-expose this overload with `using ...::retire;`.
   template <class T>
   void retire(Protected<T> p) {
     static_assert(std::is_base_of_v<ReclaimNode, T>);
@@ -154,17 +152,29 @@ class HandleCore {
     derived()->retire(static_cast<ReclaimNode*>(p.get()));
   }
 
-  // --- data-structure statistics (Table 2 of the paper) -------------------
-  // Incremented by the data structures, summed by the harness.  Plain fields:
-  // each handle is single-threaded.  Deliberately NOT reset on record reuse:
-  // they are cumulative domain telemetry, exactly as they were when handles
-  // lived for the whole domain lifetime.
-  std::uint64_t ds_restarts = 0;    // full traversal restarts
-  std::uint64_t ds_recoveries = 0;  // §3.2.1 recovery-optimization escapes
+  std::uint64_t on_alloc_era() noexcept { return 0; }
 
-  // Back-pointer to this handle's HandleRegistry record, set by the
-  // domain's join().  Opaque here (the record type depends on the concrete
-  // Handle); domains cast it back in leave().
+  // --- skeleton hooks, called by DomainCore::leave -------------------------
+  // prepare_leave(): the scheme's pre-step (assert the reservation is idle,
+  // or clear the protection slots).  reclaim_on_leave(): the final inline
+  // reclamation attempt before the leftover limbo is orphaned.
+  void prepare_leave() noexcept {}
+  void reclaim_on_leave() noexcept {}
+
+  // --- data-structure statistics (Table 2 of the paper) -------------------
+  // Bumped by the data structures through count_restart()/count_recovery()
+  // and summed by DomainCore::restarts()/recoveries() while workers may
+  // still run: single-writer relaxed atomics, bumped with a load+store pair
+  // like the obs:: counters (no lock prefix).  Deliberately NOT reset on
+  // record reuse: they are cumulative domain telemetry.
+  std::atomic<std::uint64_t> ds_restarts{0};    // full traversal restarts
+  std::atomic<std::uint64_t> ds_recoveries{0};  // §3.2.1 recovery escapes
+
+  void count_restart() noexcept { bump(ds_restarts); }
+  void count_recovery() noexcept { bump(ds_recoveries); }
+
+  // Back-pointer to this handle's HandleRegistry record, set by
+  // DomainCore::join() and cast back in leave().
   void* registry_record_ = nullptr;
 
   // Observability cell: one padded counter block per registry record,
@@ -174,10 +184,105 @@ class HandleCore {
   obs::StatsCell* stats_ = nullptr;
 
  protected:
+  template <class>
+  friend class DomainCore;
+
   Derived* derived() noexcept { return static_cast<Derived*>(this); }
+
+  static void bump(std::atomic<std::uint64_t>& a) noexcept {
+    a.store(a.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+  }
+
+  // Advances the domain's era/epoch clock once per effective era_freq calls
+  // (the era-based schemes call it on retire and, for birth eras, alloc).
+  void era_tick() noexcept {
+    if (++tick_ >= dom_->bg_.effective_era_freq()) {
+      tick_ = 0;
+      dom_->clock_.fetch_add(1, std::memory_order_acq_rel);
+      obs::count(stats_, obs::Counter::kEraAdvances);
+    }
+  }
 
   Domain* dom_;
   unsigned tid_;
+  unsigned tick_ = 0;
+  // Retired nodes this handle still owns: the limbo list of EBR/HP/HE/IBR,
+  // Hyaline's unsealed batch.  DomainCore hands it off on leave() and frees
+  // it at domain teardown.
+  LimboList limbo_;
+};
+
+// The limbo-list schemes (EBR, HP, HE, IBR): retire parks the node in the
+// private limbo list, and a full list is either scanned inline — Derived
+// supplies `void scan()` — or donated whole to the background reclaimer.
+// kRetireEra: stamp each retired node with the clock and tick it (every
+// scheme here but HP).
+template <class Domain, class Derived, bool kRetireEra>
+class LimboHandle : public HandleCore<Domain, Derived> {
+  using Core = HandleCore<Domain, Derived>;
+
+ public:
+  using Core::Core;
+  using Core::retire;
+
+  void retire(ReclaimNode* n) {
+    Domain* dom = this->dom_;
+    n->debug_state = kNodeRetired;
+    if constexpr (kRetireEra)
+      n->retire_era = dom->clock_.load(std::memory_order_acquire);
+    this->limbo_.push(n);
+    // With the background reclaimer active, mailbox adoption is its job;
+    // when inactive, retirers self-heal both mailboxes (leave() orphans
+    // and anything stranded in the background mailbox by a stop).
+    if (!dom->bg_.is_active() && adopt_all_mailboxes() > 0) {
+      obs::count(this->stats_, obs::Counter::kOrphanAdoptions);
+      obs::trace_instant(obs::TraceKind::kAdopt);
+    }
+    dom->counters_.on_retire(dom->cfg_.track_stats);
+    obs::count(this->stats_, obs::Counter::kRetires);
+    obs::peak(this->stats_, this->limbo_.count);
+    if constexpr (kRetireEra) this->era_tick();
+    if (this->limbo_.count >= dom->bg_.effective_scan_threshold()) {
+      if (dom->bg_.is_active()) {
+        // Donate the whole chain (one CAS) and ring the doorbell: no scan,
+        // no reservation snapshot, and on the asymmetric path no heavy
+        // barrier on this (or any) mutator — the service thread issues one
+        // barrier for the entire adopted backlog.
+        donate_limbo(this->limbo_, dom->bg_.mailbox);
+        dom->bg_.thread.ring();
+      } else {
+        this->derived()->scan();
+      }
+    }
+  }
+
+  // Test hook: number of nodes parked in this thread's limbo list.
+  unsigned limbo_size() const noexcept { return this->limbo_.count; }
+
+  void reclaim_on_leave() { this->derived()->scan(); }
+
+  // --- background-reclaimer hooks (service thread only; DESIGN.md §9) -----
+  // Adopt every donated chain into this handle's limbo list.
+  unsigned bg_collect() { return adopt_all_mailboxes(); }
+  // Run the shared scan (one heavy barrier) if there is a backlog.
+  bool bg_reclaim() {
+    if (this->limbo_.count == 0) return false;
+    this->derived()->scan();
+    return true;
+  }
+
+ private:
+  // Drains both shared mailboxes into the private limbo list; returns the
+  // number of nodes adopted.
+  unsigned adopt_all_mailboxes() {
+    Domain* dom = this->dom_;
+    unsigned adopted = 0;
+    if (!dom->orphans_.empty())
+      adopted += adopt_orphans(dom->orphans_, this->limbo_);
+    if (!dom->bg_.mailbox.empty())
+      adopted += adopt_orphans(dom->bg_.mailbox, this->limbo_);
+    return adopted;
+  }
 };
 
 }  // namespace scot

@@ -1,16 +1,13 @@
-// Dynamic handle membership for reclamation domains.
+// Dynamic handle membership for reclamation domains: threads join and
+// leave a domain at any point in its lifetime, with no fixed thread cap.
 //
-// Every domain used to pre-build a fixed `handles_` vector sized by
-// `SmrConfig::max_threads` and hand out slots by caller-supplied tid — the
-// fixed-population assumption a real server (thread pools, worker churn)
-// cannot live with.  This header replaces it with an RCU-style registry:
-//
-//  * `HandleRegistry<Handle>` — a lock-free singly-linked list of permanent
-//    handle *records*.  `acquire()` claims a free record (or appends a new
-//    one); `release()` returns it for reuse.  Records are never unlinked or
-//    freed while the registry lives, so scanners may traverse the list with
-//    plain acquire loads and no deferred reclamation of the records
-//    themselves (the same trick libreclaim's ctx_list uses).
+//  * `HandleRegistry<Domain>` — a lock-free singly-linked list of permanent
+//    handle *records*, each holding one `Domain::Handle`.  `acquire()`
+//    claims a free record (or appends a new one); `release()` returns it
+//    for reuse.  Records are never unlinked or freed while the registry
+//    lives, so scanners may traverse the list with plain acquire loads and
+//    no deferred reclamation of the records themselves (the same trick
+//    libreclaim's ctx_list uses).
 //
 //  * Generation-tagged occupancy.  Each record carries one state word
 //    `(generation << 1) | active`: even = free, odd = claimed.  A claim is a
@@ -26,11 +23,8 @@
 //    registry id so it can never alias a record of a dead (or different)
 //    registry.
 //
-//  * `ScopedHandle` / `scoped_handle(domain)` — the RAII join/leave spelling
-//    that replaces raw `domain.handle(tid)`.
-//
-//  * `TidHandleShim` — the deprecated fixed-capacity, tid-indexed surface,
-//    kept so pre-registry code and tests compile unchanged.
+//  * `ScopedHandle` / `scoped_handle(domain)` — the RAII join/leave
+//    spelling.
 //
 //  * `OrphanList` — the domain-side mailbox a departing thread donates its
 //    unreclaimed retires to; any later retirer adopts them (Hyaline-style
@@ -49,10 +43,7 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <cstdio>
-#include <mutex>
 #include <utility>
-#include <vector>
 
 #include "common/align.hpp"
 #include "smr/reclaim_node.hpp"
@@ -66,18 +57,13 @@ inline std::uint64_t next_registry_id() noexcept {
   static std::atomic<std::uint64_t> counter{1};
   return counter.fetch_add(1, std::memory_order_relaxed);
 }
-
-#ifndef SCOT_DISALLOW_TID_SHIM
-// Process-wide (not per shim instantiation), so the deprecation note below
-// prints at most once no matter how many schemes touch their shims.
-inline std::atomic<bool>& shim_warned() noexcept {
-  static std::atomic<bool> warned{false};
-  return warned;
-}
-#endif
 }  // namespace detail
 
-template <class Handle>
+// Parameterized on the domain rather than its Handle so a domain's base
+// (DomainCore<Domain>) can hold the registry while Domain — and the Handle
+// nested in it — is still incomplete: nothing at class scope names
+// Domain::Handle, only Record's lazily instantiated definition does.
+template <class Domain>
 class HandleRegistry {
  public:
   // A permanent membership record.  `handle` is constructed exactly once
@@ -104,7 +90,7 @@ class HandleRegistry {
     std::atomic<std::uint64_t> state;
     std::atomic<Record*> next{nullptr};
     const unsigned index;
-    Handle handle;
+    typename Domain::Handle handle;
   };
 
   HandleRegistry() = default;
@@ -266,57 +252,6 @@ template <class Domain>
 [[nodiscard]] ScopedHandle<Domain> scoped_handle(Domain& d) {
   return ScopedHandle<Domain>(d);
 }
-
-// DEPRECATED tid-indexed access, kept so pre-registry code and tests keep
-// compiling: `handle(tid)` lazily joins once per tid and pins the record for
-// the domain's lifetime.  This resurrects the fixed-capacity surface —
-// `tid` must be < max_threads — and takes a mutex on first touch; new code
-// should use scoped_handle() instead.
-//
-// The [[deprecated]] marking is at the type level so any *new* direct use
-// fails loudly under -Werror; the domains suppress the warning around their
-// own shim members (the compatibility surface itself).  Configuring with
-// -DSCOT_DISALLOW_TID_SHIM=ON compiles the shim (and every domain's
-// handle(tid) accessor) out entirely.
-#ifndef SCOT_DISALLOW_TID_SHIM
-template <class Handle>
-class [[deprecated(
-    "tid-indexed handles pin registry records forever; use "
-    "scot::scoped_handle(domain) or AnyMap::session()")]] TidHandleShim {
- public:
-  explicit TidHandleShim(unsigned max_threads) {
-    slots_.reserve(max_threads);  // deprecated fixed-capacity surface
-    slots_.resize(max_threads, nullptr);
-  }
-
-  // Thread-safe (concurrent first touches of distinct tids race on the
-  // mutex, not the vector).  Preserves the historical out-of-range throw.
-  template <class Domain>
-  Handle& get(Domain& d, unsigned tid) {
-    warn_once();
-    std::lock_guard<std::mutex> lock(mu_);
-    Handle*& h = slots_.at(tid);
-    if (h == nullptr) h = &d.join();
-    return *h;
-  }
-
- private:
-  // One process-wide note instead of per-call noise: the shim exists for
-  // legacy callers and migration is a mechanical scoped_handle swap, so a
-  // single pointer at the replacement is all the nagging that is useful.
-  static void warn_once() noexcept {
-    if (!detail::shim_warned().exchange(true, std::memory_order_relaxed)) {
-      std::fputs(
-          "scot: note: domain.handle(tid) is deprecated; use "
-          "scot::scoped_handle(domain) or AnyMap::session() instead\n",
-          stderr);
-    }
-  }
-
-  std::mutex mu_;
-  std::vector<Handle*> slots_;
-};
-#endif  // SCOT_DISALLOW_TID_SHIM
 
 // MPSC mailbox of retired-node chains, the handoff primitive for both
 // custody transfers in the library:

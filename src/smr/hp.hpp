@@ -15,10 +15,10 @@
 // dup calls to copy toward *higher* indices because scans read slots in
 // ascending order (see DESIGN.md §4).
 //
-// Membership is dynamic (see nr.hpp): the hazard slots live inside the
-// Handle (one cache-line-isolated block per registry record), scans walk
-// the live registry, and leave() clears the slots, scans, and donates the
-// leftover limbo to the domain's orphan list.
+// The hazard slots live inside the Handle (one cache-line-isolated block
+// per registry record) and scans walk the live registry; leave() clears the
+// slots before the shared skeleton (smr/domain_core.hpp) scans and donates
+// the leftover limbo.
 #pragma once
 
 #include <algorithm>
@@ -27,28 +27,28 @@
 #include <cstdint>
 #include <memory>
 
-#include "common/align.hpp"
 #include "common/asymfence.hpp"
 #include "common/chunked_list.hpp"
 #include "obs/stats.hpp"
 #include "obs/trace.hpp"
-#include "smr/handle_core.hpp"
-#include "smr/handle_registry.hpp"
-#include "smr/node_pool.hpp"
-#include "smr/reclaimer.hpp"
-#include "smr/smr_config.hpp"
+#include "smr/domain_core.hpp"
 
 namespace scot {
 
 template <bool kSnapshotScan>
-class HazardPointerDomain {
+class HazardPointerDomain
+    : public DomainCore<HazardPointerDomain<kSnapshotScan>> {
+  using Core = DomainCore<HazardPointerDomain>;
+
  public:
   static constexpr const char* kName = kSnapshotScan ? "HPopt" : "HP";
   static constexpr bool kRobust = true;
 
-  class Handle : public HandleCore<HazardPointerDomain, Handle> {
+  class Handle
+      : public LimboHandle<HazardPointerDomain, Handle, /*kRetireEra=*/false> {
+    using Base = LimboHandle<HazardPointerDomain, Handle, false>;
+
    public:
-    using Base = HandleCore<HazardPointerDomain, Handle>;
     Handle(HazardPointerDomain* dom, unsigned tid)
         : Base(dom, tid),
           slots_(new std::atomic<ReclaimNode*>[dom->cfg_.slots_per_thread]) {
@@ -58,13 +58,13 @@ class HazardPointerDomain {
 
    protected:
     // HazardPointerDomain is a template, so the base is dependent and its
-    // members need explicit re-introduction.
+    // members need explicit re-introduction (limbo_ stays this->-qualified:
+    // a using-declaration would hide it from DomainCore, the base's friend).
     using Base::dom_;
     using Base::tid_;
 
    public:
     using Base::stats_;  // public in the base (obs cell; reclaimer reads it)
-    using Base::retire;  // typed retire(Protected<T>) — API v2
 
     void begin_op() noexcept {}
 
@@ -137,28 +137,6 @@ class HazardPointerDomain {
     static constexpr bool op_valid() noexcept { return true; }
     void revalidate_op() noexcept {}
 
-    void retire(ReclaimNode* n) {
-      n->debug_state = kNodeRetired;
-      limbo_.push(n);
-      if (!dom_->bg_.is_active() && adopt_all_mailboxes() > 0) {
-        obs::count(stats_, obs::Counter::kOrphanAdoptions);
-        obs::trace_instant(obs::TraceKind::kAdopt);
-      }
-      dom_->counters_.on_retire(dom_->cfg_.track_stats);
-      obs::count(stats_, obs::Counter::kRetires);
-      obs::peak(stats_, limbo_.count);
-      if (limbo_.count >= dom_->bg_.effective_scan_threshold()) {
-        if (dom_->bg_.is_active()) {
-          donate_limbo(limbo_, dom_->bg_.mailbox);
-          dom_->bg_.thread.ring();
-        } else {
-          scan();
-        }
-      }
-    }
-
-    std::uint64_t on_alloc_era() noexcept { return 0; }
-
     void scan() {
       obs::TraceSpan span(obs::TraceKind::kScan);
       const std::uint64_t stats_t0 = obs::scan_begin(stats_);
@@ -177,11 +155,11 @@ class HazardPointerDomain {
         snapshot_.clear();
         dom_->collect_hazards(snapshot_);
         std::sort(snapshot_.begin(), snapshot_.end());
-        ReclaimNode* n = limbo_.take();
+        ReclaimNode* n = this->limbo_.take();
         while (n != nullptr) {
           ReclaimNode* next = n->smr_next;
           if (std::binary_search(snapshot_.begin(), snapshot_.end(), n)) {
-            limbo_.push(n);
+            this->limbo_.push(n);
           } else {
             dom_->pool().free(tid_, n, n->alloc_size);
             ++freed;
@@ -189,11 +167,11 @@ class HazardPointerDomain {
           n = next;
         }
       } else {
-        ReclaimNode* n = limbo_.take();
+        ReclaimNode* n = this->limbo_.take();
         while (n != nullptr) {
           ReclaimNode* next = n->smr_next;
           if (dom_->is_hazard(n)) {
-            limbo_.push(n);
+            this->limbo_.push(n);
           } else {
             dom_->pool().free(tid_, n, n->alloc_size);
             ++freed;
@@ -205,166 +183,33 @@ class HazardPointerDomain {
       obs::scan_end(stats_, stats_t0, freed);
     }
 
-    unsigned limbo_size() const noexcept { return limbo_.count; }
-
-    // --- background-reclaimer hooks (service thread only; DESIGN.md §9) ---
-    unsigned bg_collect() { return adopt_all_mailboxes(); }
-    bool bg_reclaim() {
-      if (limbo_.count == 0) return false;
-      scan();
-      return true;
-    }
+    // Leave pre-step: clear the hazard slots (no operation may be in
+    // flight, so nothing still relies on them).
+    void prepare_leave() noexcept { end_op(); }
 
    private:
     friend class HazardPointerDomain;
-
-    unsigned adopt_all_mailboxes() {
-      unsigned adopted = 0;
-      if (!dom_->orphans_.empty())
-        adopted += adopt_orphans(dom_->orphans_, limbo_);
-      if (!dom_->bg_.mailbox.empty())
-        adopted += adopt_orphans(dom_->bg_.mailbox, limbo_);
-      return adopted;
-    }
-
-    std::atomic<ReclaimNode*>& slot_ref(unsigned idx) noexcept {
-      assert(idx < dom_->cfg_.slots_per_thread);
-      return slots_[idx];
-    }
 
     // Per-thread hazard slots (the record's alignment isolates them from
     // other threads' lines); sized by cfg.slots_per_thread at handle
     // construction, reused across join/leave cycles.
     std::unique_ptr<std::atomic<ReclaimNode*>[]> slots_;
-    LimboList limbo_;
     std::uint32_t used_mask_ = 0;
     // HPopt scratch, reused across scans; grows without bound instead of
-    // being pre-reserved for max_threads * slots_per_thread.
+    // being pre-reserved per thread.
     ChunkedList<ReclaimNode*> snapshot_;
   };
 
-  explicit HazardPointerDomain(SmrConfig cfg = {})
-      : cfg_(cfg),
-        pool_(cfg.max_threads),
-        fence_path_(asymfence::resolve(cfg.asymmetric_fences))
-#ifndef SCOT_DISALLOW_TID_SHIM
-        ,
-        shim_(cfg.max_threads)
-#endif
-  {
-    assert(cfg_.slots_per_thread <= 32);
-    bg_.scan_threshold.store(cfg_.scan_threshold, std::memory_order_relaxed);
-    bg_.era_freq.store(cfg_.era_freq, std::memory_order_relaxed);
-    if (cfg_.background_reclaim) start_background_reclaimer();
+  explicit HazardPointerDomain(SmrConfig cfg = {}) : Core(cfg) {
+    assert(cfg.slots_per_thread <= 32);
+    this->start_configured();
   }
-
-  ~HazardPointerDomain() {
-    stop_background_reclaimer();
-    drain_all();
-  }
-
-  // --- dynamic membership (see nr.hpp for the reference walkthrough) ------
-  Handle& join() {
-    auto* rec =
-        registry_.acquire([this](unsigned idx) { return Handle(this, idx); });
-    rec->handle.registry_record_ = rec;
-    pool_.ensure_shards(rec->index + 1);
-    obs::count(rec->handle.stats_, obs::Counter::kJoins);
-    obs::trace_instant(obs::TraceKind::kJoin);
-    return rec->handle;
-  }
-
-  // Contract: no operation in flight.  Clears the hazard slots, runs a
-  // final scan, and donates what remains to the orphan list.
-  void leave(Handle& h) {
-    h.end_op();
-    if (h.limbo_.count > 0) {
-      if (bg_.is_active()) {
-        donate_limbo(h.limbo_, bg_.mailbox);
-        bg_.thread.ring();
-        obs::count(h.stats_, obs::Counter::kOrphanDonations);
-      } else {
-        h.scan();
-        if (donate_limbo(h.limbo_, orphans_) > 0)
-          obs::count(h.stats_, obs::Counter::kOrphanDonations);
-      }
-    }
-    obs::count(h.stats_, obs::Counter::kLeaves);
-    obs::trace_instant(obs::TraceKind::kLeave);
-    registry_.release(record_of(h));
-  }
-
-  unsigned active_handles() const noexcept { return registry_.active(); }
-  std::size_t total_handle_records() const noexcept {
-    return registry_.total_records();
-  }
-  const HandleRegistry<Handle>& registry() const noexcept { return registry_; }
-
-#ifndef SCOT_DISALLOW_TID_SHIM
-  // DEPRECATED: fixed-capacity tid-indexed access (joins once per tid and
-  // pins the record forever).  New code should use scoped_handle(domain).
-  Handle& handle(unsigned tid) { return shim_.get(*this, tid); }
-#endif
-
-  // --- background reclamation (smr/reclaimer.hpp, DESIGN.md §9) -----------
-  ReclaimControl& reclaim_control() noexcept { return bg_; }
-  bool background_active() const noexcept { return bg_.is_active(); }
-  BgReclaimStats background_stats() const noexcept { return bg_stats_of(bg_); }
-  bool counts_heavy_barrier_per_reclaim() const noexcept {
-    return fence_path_ != asymfence::Path::kClassic;
-  }
-
-  void start_background_reclaimer() {
-    if (bg_.thread.running()) return;
-    if (!reclaimer_)
-      reclaimer_ =
-          std::make_unique<DomainReclaimer<HazardPointerDomain>>(*this);
-    bg_.active.store(true, std::memory_order_release);
-    bg_.thread.start(cfg_.reclaim_interval_us,
-                     [this] { reclaimer_->round(); });
-  }
-
-  void stop_background_reclaimer() {
-    bg_.active.store(false, std::memory_order_release);
-    bg_.thread.stop();
-    if (reclaimer_) {
-      reclaimer_->detach();
-      reclaimer_.reset();
-    }
-  }
-
-  const SmrConfig& config() const noexcept { return cfg_; }
-  NodePool& pool() noexcept { return pool_; }
-  std::int64_t pending_nodes() const noexcept {
-    return counters_.pending.load(std::memory_order_relaxed);
-  }
-  const SmrCounters& counters() const noexcept { return counters_; }
-  asymfence::Path fence_path() const noexcept { return fence_path_; }
-
-  // Observability (DESIGN.md §8): the per-handle cell list and the
-  // aggregated snapshot.
-  obs::DomainStats& obs_stats() noexcept { return stats_obs_; }
-  obs::StatsSnapshot stats() const {
-    obs::StatsSnapshot s = stats_obs_.snapshot();
-    s.enabled = SCOT_STATS != 0 && cfg_.track_stats;
-    s.pending = pending_nodes();
-    s.retired_total = counters_.retired.load(std::memory_order_relaxed);
-    s.reclaimed_total = counters_.reclaimed.load(std::memory_order_relaxed);
-    return s;
-  }
-
-#ifndef SCOT_DISALLOW_TID_SHIM
-  // Test/introspection accessor for a tid-indexed slot (routes through the
-  // deprecated shim, joining the tid if needed).
-  std::atomic<ReclaimNode*>& slot(unsigned tid, unsigned idx) {
-    return handle(tid).slot_ref(idx);
-  }
-#endif
+  ~HazardPointerDomain() { this->shutdown(); }
 
   bool is_hazard(const ReclaimNode* n) const noexcept {
-    for (const auto* r = registry_.head(); r != nullptr;
+    for (const auto* r = this->registry_.head(); r != nullptr;
          r = r->next_record()) {
-      for (unsigned i = 0; i < cfg_.slots_per_thread; ++i) {
+      for (unsigned i = 0; i < this->cfg_.slots_per_thread; ++i) {
         if (r->handle.slots_[i].load(std::memory_order_acquire) == n)
           return true;
       }
@@ -379,63 +224,14 @@ class HazardPointerDomain {
   // container (ChunkedList in scans, std::vector in tests).
   template <class Out>
   void collect_hazards(Out& out) const {
-    for (const auto* r = registry_.head(); r != nullptr;
+    for (const auto* r = this->registry_.head(); r != nullptr;
          r = r->next_record()) {
-      for (unsigned i = 0; i < cfg_.slots_per_thread; ++i) {
+      for (unsigned i = 0; i < this->cfg_.slots_per_thread; ++i) {
         ReclaimNode* v = r->handle.slots_[i].load(std::memory_order_acquire);
         if (v != nullptr) out.push_back(v);
       }
     }
   }
-
- private:
-  friend class Handle;
-
-  using Record = typename HandleRegistry<Handle>::Record;
-  static Record* record_of(Handle& h) noexcept {
-    return static_cast<Record*>(h.registry_record_);
-  }
-
-  void drain_all() {
-    std::uint64_t freed = 0;
-    for (auto* r = registry_.head(); r != nullptr; r = r->next_record()) {
-      ReclaimNode* n = r->handle.limbo_.take();
-      while (n != nullptr) {
-        ReclaimNode* next = n->smr_next;
-        pool_.free(r->index, n, n->alloc_size);
-        ++freed;
-        n = next;
-      }
-    }
-    ReclaimNode* chains[] = {orphans_.take_all(), bg_.mailbox.take_all()};
-    for (ReclaimNode* n : chains) {
-      while (n != nullptr) {
-        ReclaimNode* next = n->smr_next;
-        pool_.free(0, n, n->alloc_size);
-        ++freed;
-        n = next;
-      }
-    }
-    counters_.on_free(freed, cfg_.track_stats);
-  }
-
-  SmrConfig cfg_;
-  NodePool pool_;
-  SmrCounters counters_;
-  asymfence::Path fence_path_;
-  // Declared before the registry: handles hold raw cell pointers, so the
-  // cell list must be destroyed after the records are.
-  obs::DomainStats stats_obs_;
-  HandleRegistry<Handle> registry_;
-  OrphanList orphans_;
-  ReclaimControl bg_;
-  std::unique_ptr<DomainReclaimer<HazardPointerDomain>> reclaimer_;
-#ifndef SCOT_DISALLOW_TID_SHIM
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  TidHandleShim<Handle> shim_;
-#pragma GCC diagnostic pop
-#endif
 };
 
 using HpDomain = HazardPointerDomain<false>;

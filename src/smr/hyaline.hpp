@@ -25,11 +25,11 @@
 //    is safe even if the node was concurrently reclaimed (see
 //    reclaim_node.hpp).
 //
-// Membership is dynamic (see nr.hpp): the reservation slot lives inside the
-// Handle, seal_batch() walks the live registry, and leave() donates the
-// unsealed batch to the domain's orphan list — the natural Hyaline handoff,
-// since sealed batches are already owned by "whoever drops the last
-// reference".
+// The reservation slot lives inside the Handle and seal_batch() walks the
+// live registry.  The unsealed batch is the handle's limbo list, so the
+// shared skeleton (smr/domain_core.hpp) donates it whole on leave() — the
+// natural Hyaline handoff, since sealed batches are already owned by
+// "whoever drops the last reference" — and frees it at teardown.
 #pragma once
 
 #include <algorithm>
@@ -38,19 +38,14 @@
 #include <cstdint>
 #include <memory>
 
-#include "common/align.hpp"
 #include "common/asymfence.hpp"
 #include "obs/stats.hpp"
 #include "obs/trace.hpp"
-#include "smr/handle_core.hpp"
-#include "smr/handle_registry.hpp"
-#include "smr/node_pool.hpp"
-#include "smr/reclaimer.hpp"
-#include "smr/smr_config.hpp"
+#include "smr/domain_core.hpp"
 
 namespace scot {
 
-class HyalineDomain {
+class HyalineDomain : public DomainCore<HyalineDomain> {
  public:
   static constexpr const char* kName = "HLN";
   static constexpr bool kRobust = true;
@@ -63,9 +58,8 @@ class HyalineDomain {
 
   class Handle : public HandleCore<HyalineDomain, Handle> {
    public:
-    using Base = HandleCore<HyalineDomain, Handle>;
-    using Base::retire;  // typed retire(Protected<T>) — API v2
-    Handle(HyalineDomain* dom, unsigned tid) : Base(dom, tid) {}
+    using HandleCore::HandleCore;
+    using HandleCore::retire;  // typed retire(Protected<T>)
 
     void begin_op() noexcept {
       era_local_ = dom_->clock_.load(std::memory_order_acquire);
@@ -140,18 +134,14 @@ class HyalineDomain {
       }
       dom_->counters_.on_retire(dom_->cfg_.track_stats);
       obs::count(stats_, obs::Counter::kRetires);
-      obs::peak(stats_, batch_count_);
+      obs::peak(stats_, limbo_.count);
       era_tick();
-      if (batch_count_ >= required_batch()) {
+      if (limbo_.count >= required_batch()) {
         if (dom_->bg_.is_active()) {
           // Donate the accumulated batch whole; the service thread splices
           // it into its own batch and runs the seal (with its single heavy
           // barrier) off the operation path.
-          dom_->bg_.mailbox.donate(batch_head_, batch_tail_);
-          batch_head_ = nullptr;
-          batch_tail_ = nullptr;
-          batch_count_ = 0;
-          batch_min_birth_ = 0;
+          donate_limbo(limbo_, dom_->bg_.mailbox);
           dom_->bg_.thread.ring();
         } else {
           seal_batch();
@@ -165,7 +155,7 @@ class HyalineDomain {
     }
 
     // Test hooks.
-    unsigned pending_batch_size() const noexcept { return batch_count_; }
+    unsigned pending_batch_size() const noexcept { return limbo_.count; }
     std::uint64_t reservation_era() const noexcept { return era_local_; }
 
     // --- background-reclaimer hooks (service thread only; DESIGN.md §9) ---
@@ -174,30 +164,26 @@ class HyalineDomain {
     // registry record; a short batch keeps accumulating until the next
     // round's adoptions top it up.
     bool bg_reclaim() {
-      if (batch_count_ == 0 || batch_count_ < required_batch()) return false;
+      if (limbo_.count == 0 || limbo_.count < required_batch()) return false;
       seal_batch();
       return true;
+    }
+
+    // Leave contract: no operation in flight (the slot is inactive and
+    // drained).
+    void prepare_leave() const noexcept {
+      assert(slot_.head.load(std::memory_order_relaxed) == kInactive &&
+             "leave() with an operation in flight");
     }
 
    private:
     friend class HyalineDomain;
 
-    void era_tick() noexcept {
-      if (++tick_ >= dom_->bg_.effective_era_freq()) {
-        tick_ = 0;
-        dom_->clock_.fetch_add(1, std::memory_order_acq_rel);
-        obs::count(stats_, obs::Counter::kEraAdvances);
-      }
-    }
-
     void push_to_batch(ReclaimNode* n) noexcept {
       const std::uint64_t birth = birth_era_of(n);
-      if (batch_count_ == 0 || birth < batch_min_birth_)
+      if (limbo_.count == 0 || birth < batch_min_birth_)
         batch_min_birth_ = birth;
-      n->smr_next = batch_head_;
-      if (batch_head_ == nullptr) batch_tail_ = n;
-      batch_head_ = n;
-      ++batch_count_;
+      limbo_.push(n);
     }
 
     // Splices every donated retire (departed threads' unsealed batches and
@@ -261,7 +247,7 @@ class HyalineDomain {
       auto* snap = dom_->registry_.head();
       unsigned len = 0;
       for (auto* r = snap; r != nullptr; r = r->next_record()) ++len;
-      if (batch_count_ < len + 1) {
+      if (limbo_.count < len + 1) {
         // The registry grew between the threshold check and the snapshot:
         // not enough member nodes to give every slot a distinct entry.
         // Keep accumulating; the next retire re-checks against the larger
@@ -271,13 +257,13 @@ class HyalineDomain {
       }
       auto* bh = new BatchHandle;
       bh->refs.store(kGuard, std::memory_order_relaxed);
-      bh->first = batch_head_;
-      bh->count = batch_count_;
-      for (ReclaimNode* n = batch_head_; n != nullptr; n = n->smr_next)
+      bh->count = limbo_.count;
+      bh->first = limbo_.take();
+      for (ReclaimNode* n = bh->first; n != nullptr; n = n->smr_next)
         n->batch = bh;
 
       std::int64_t inserted = 0;
-      ReclaimNode* entry = batch_head_;
+      ReclaimNode* entry = bh->first;
       for (auto* r = snap; r != nullptr && entry != nullptr;
            r = r->next_record()) {
         auto& slot = r->handle.slot_;
@@ -300,10 +286,6 @@ class HyalineDomain {
           }
         }
       }
-      batch_head_ = nullptr;
-      batch_tail_ = nullptr;
-      batch_count_ = 0;
-      batch_min_birth_ = 0;
       obs::scan_end(stats_, stats_t0, 0);
       adjust(bh, inserted - kGuard);
     }
@@ -345,200 +327,39 @@ class HyalineDomain {
       std::atomic<std::uint64_t> era{0};
     };
 
-    // Reservation slot (moved from the domain's per-tid array; the
-    // record's alignment isolates it from other threads' lines).
+    // Reservation slot (the record's alignment isolates it from other
+    // threads' lines).
     SlotData slot_;
     std::uint64_t era_local_ = 0;
     bool restart_ = false;
-    unsigned tick_ = 0;
-    ReclaimNode* batch_head_ = nullptr;
-    ReclaimNode* batch_tail_ = nullptr;
-    unsigned batch_count_ = 0;
+    // Lower bound of the birth eras in the unsealed batch (limbo_).
     std::uint64_t batch_min_birth_ = 0;
   };
 
   explicit HyalineDomain(SmrConfig cfg = {})
-      : cfg_(cfg),
-        pool_(cfg.max_threads),
+      : DomainCore(cfg),
         batch_capacity_(cfg.batch_capacity != 0 ? cfg.batch_capacity
-                                                : cfg.max_threads + 1),
-        fence_path_(asymfence::resolve(cfg.asymmetric_fences))
-#ifndef SCOT_DISALLOW_TID_SHIM
-        ,
-        shim_(cfg.max_threads)
-#endif
-  {
+                                                : cfg.max_threads + 1) {
     // Hyaline's reclaim cadence is the batch size, so that is what the
     // adaptive controller tunes (era_freq rides along for the clock rate).
     bg_.scan_threshold.store(batch_capacity_, std::memory_order_relaxed);
-    bg_.era_freq.store(cfg_.era_freq, std::memory_order_relaxed);
-    if (cfg_.background_reclaim) start_background_reclaimer();
+    start_configured();
   }
+  ~HyalineDomain() { shutdown(); }
 
-  ~HyalineDomain() {
-    stop_background_reclaimer();
-    drain_all();
-  }
-
-  // --- dynamic membership (see nr.hpp for the reference walkthrough) ------
-  Handle& join() {
-    auto* rec =
-        registry_.acquire([this](unsigned idx) { return Handle(this, idx); });
-    rec->handle.registry_record_ = rec;
-    pool_.ensure_shards(rec->index + 1);
-    obs::count(rec->handle.stats_, obs::Counter::kJoins);
-    obs::trace_instant(obs::TraceKind::kJoin);
-    return rec->handle;
-  }
-
-  // Contract: no operation in flight (the slot is inactive and drained).
-  // The unsealed batch is donated whole — this is Hyaline's natural
-  // handoff: sealed batches already belong to "whoever drops the last
-  // reference", so only the private accumulating batch needs a new owner.
-  void leave(Handle& h) {
-    assert(h.slot_.head.load(std::memory_order_relaxed) == kInactive &&
-           "leave() with an operation in flight");
-    if (h.batch_count_ > 0) {
-      if (bg_.is_active()) {
-        bg_.mailbox.donate(h.batch_head_, h.batch_tail_);
-        bg_.thread.ring();
-      } else {
-        orphans_.donate(h.batch_head_, h.batch_tail_);
-      }
-      h.batch_head_ = nullptr;
-      h.batch_tail_ = nullptr;
-      h.batch_count_ = 0;
-      h.batch_min_birth_ = 0;
-      obs::count(h.stats_, obs::Counter::kOrphanDonations);
-    }
-    obs::count(h.stats_, obs::Counter::kLeaves);
-    obs::trace_instant(obs::TraceKind::kLeave);
-    registry_.release(record_of(h));
-  }
-
-  unsigned active_handles() const noexcept { return registry_.active(); }
-  std::size_t total_handle_records() const noexcept {
-    return registry_.total_records();
-  }
-  const HandleRegistry<Handle>& registry() const noexcept { return registry_; }
-
-#ifndef SCOT_DISALLOW_TID_SHIM
-  // DEPRECATED: fixed-capacity tid-indexed access (joins once per tid and
-  // pins the record forever).  New code should use scoped_handle(domain).
-  Handle& handle(unsigned tid) { return shim_.get(*this, tid); }
-#endif
-
-  // --- background reclamation (smr/reclaimer.hpp, DESIGN.md §9) -----------
-  ReclaimControl& reclaim_control() noexcept { return bg_; }
-  bool background_active() const noexcept { return bg_.is_active(); }
-  BgReclaimStats background_stats() const noexcept { return bg_stats_of(bg_); }
-  bool counts_heavy_barrier_per_reclaim() const noexcept {
-    return fence_path_ != asymfence::Path::kClassic;
-  }
-
-  void start_background_reclaimer() {
-    if (bg_.thread.running()) return;
-    if (!reclaimer_)
-      reclaimer_ = std::make_unique<DomainReclaimer<HyalineDomain>>(*this);
-    bg_.active.store(true, std::memory_order_release);
-    bg_.thread.start(cfg_.reclaim_interval_us,
-                     [this] { reclaimer_->round(); });
-  }
-
-  void stop_background_reclaimer() {
-    bg_.active.store(false, std::memory_order_release);
-    bg_.thread.stop();
-    if (reclaimer_) {
-      reclaimer_->detach();
-      reclaimer_.reset();
-    }
-  }
-
-  const SmrConfig& config() const noexcept { return cfg_; }
-  NodePool& pool() noexcept { return pool_; }
-  std::int64_t pending_nodes() const noexcept {
-    return counters_.pending.load(std::memory_order_relaxed);
-  }
-  const SmrCounters& counters() const noexcept { return counters_; }
   std::uint64_t era() const noexcept {
     return clock_.load(std::memory_order_acquire);
   }
   // The configured batch-size floor; the effective threshold also adapts
   // upward to the live registry size (see Handle::required_batch).
   unsigned batch_capacity() const noexcept { return batch_capacity_; }
-  asymfence::Path fence_path() const noexcept { return fence_path_; }
-
-  // Observability (DESIGN.md §8): the per-handle cell list and the
-  // aggregated snapshot.
-  obs::DomainStats& obs_stats() noexcept { return stats_obs_; }
-  obs::StatsSnapshot stats() const {
-    obs::StatsSnapshot s = stats_obs_.snapshot();
-    s.enabled = SCOT_STATS != 0 && cfg_.track_stats;
-    s.pending = pending_nodes();
-    s.retired_total = counters_.retired.load(std::memory_order_relaxed);
-    s.reclaimed_total = counters_.reclaimed.load(std::memory_order_relaxed);
-    return s;
-  }
 
  private:
-  friend class Handle;
-
   static constexpr std::uintptr_t kActiveEmpty = 0;
   static constexpr std::uintptr_t kInactive = 1;
   static constexpr std::int64_t kGuard = std::int64_t{1} << 62;
 
-  using Record = HandleRegistry<Handle>::Record;
-  static Record* record_of(Handle& h) noexcept {
-    return static_cast<Record*>(h.registry_record_);
-  }
-
-  // Destructor-time cleanup: all threads quiescent, slots inactive and
-  // drained, so only unsealed per-record batches and orphans remain.
-  void drain_all() {
-    std::uint64_t freed = 0;
-    for (auto* r = registry_.head(); r != nullptr; r = r->next_record()) {
-      ReclaimNode* n = r->handle.batch_head_;
-      while (n != nullptr) {
-        ReclaimNode* next = n->smr_next;
-        pool_.free(r->index, n, n->alloc_size);
-        ++freed;
-        n = next;
-      }
-      r->handle.batch_head_ = nullptr;
-      r->handle.batch_tail_ = nullptr;
-      r->handle.batch_count_ = 0;
-    }
-    ReclaimNode* chains[] = {orphans_.take_all(), bg_.mailbox.take_all()};
-    for (ReclaimNode* n : chains) {
-      while (n != nullptr) {
-        ReclaimNode* next = n->smr_next;
-        pool_.free(0, n, n->alloc_size);
-        ++freed;
-        n = next;
-      }
-    }
-    counters_.on_free(freed, cfg_.track_stats);
-  }
-
-  SmrConfig cfg_;
-  NodePool pool_;
-  SmrCounters counters_;
-  std::atomic<std::uint64_t> clock_{1};
-  unsigned batch_capacity_;
-  asymfence::Path fence_path_;
-  // Declared before the registry: handles hold raw cell pointers, so the
-  // cell list must be destroyed after the records are.
-  obs::DomainStats stats_obs_;
-  HandleRegistry<Handle> registry_;
-  OrphanList orphans_;
-  ReclaimControl bg_;
-  std::unique_ptr<DomainReclaimer<HyalineDomain>> reclaimer_;
-#ifndef SCOT_DISALLOW_TID_SHIM
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  TidHandleShim<Handle> shim_;
-#pragma GCC diagnostic pop
-#endif
+  const unsigned batch_capacity_;
 };
 
 }  // namespace scot

@@ -7,54 +7,30 @@
 // same effect reproduces, because NR always takes the carve path while the
 // reclaiming schemes hit their thread-local free lists.
 //
-// --- Reference implementation of dynamic handle membership ---------------
-//
-// NR has no reservations and no limbo lists, so it shows the registry
-// plumbing every other domain follows with nothing scheme-specific on top:
-//
-//  * The domain owns a `HandleRegistry<Handle>` instead of a pre-built
-//    `handles_` vector.  Handles are created lazily, the first time a
-//    record is appended, and reused across join/leave cycles.
-//
-//  * `join()` claims a registry record (thread-local cache hit, scavenge,
-//    or append), stores the record back-pointer into the handle, and grows
-//    the node pool so the record's index has a shard.  The record index
-//    plays the role the caller-supplied tid used to play: it names the
-//    pool shard and is returned by `Handle::tid()`.
-//
-//  * `leave(h)` runs the scheme's handoff (nothing here; the reclaiming
-//    schemes scan and donate leftovers to an OrphanList) and releases the
-//    record for reuse.  The caller must have no operation in flight.
-//
-//  * `scoped_handle(domain)` is the RAII spelling of the pair; the
-//    deprecated `handle(tid)` shim lazily joins once per tid and pins the
-//    record for the domain's lifetime, so pre-registry code still works.
+// NR is also the smallest client of the shared domain skeleton
+// (smr/domain_core.hpp): with no reservations and no limbo lists, the
+// scheme is its handle's no-op protection calls plus a counting retire().
+// It keeps a no-op background-reclaimer lifecycle, so generic callers stay
+// scheme-agnostic.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 
-#include "common/align.hpp"
 #include "obs/stats.hpp"
-#include "obs/trace.hpp"
-#include "smr/handle_core.hpp"
-#include "smr/handle_registry.hpp"
-#include "smr/node_pool.hpp"
-#include "smr/reclaimer.hpp"
-#include "smr/smr_config.hpp"
+#include "smr/domain_core.hpp"
 
 namespace scot {
 
-class NoReclaimDomain {
+class NoReclaimDomain : public DomainCore<NoReclaimDomain> {
  public:
   static constexpr const char* kName = "NR";
   static constexpr bool kRobust = false;
 
   class Handle : public HandleCore<NoReclaimDomain, Handle> {
    public:
-    using Base = HandleCore<NoReclaimDomain, Handle>;
-    using Base::retire;  // typed retire(Protected<T>) — API v2
-    Handle(NoReclaimDomain* dom, unsigned tid) : Base(dom, tid) {}
+    using HandleCore::HandleCore;
+    using HandleCore::retire;  // typed retire(Protected<T>)
 
     void begin_op() noexcept {}
     void end_op() noexcept {}
@@ -77,102 +53,20 @@ class NoReclaimDomain {
       obs::count(stats_, obs::Counter::kRetires);
     }
 
-    std::uint64_t on_alloc_era() noexcept { return 0; }
+    // Background hooks: never run (NR never starts a reclaimer), but the
+    // core's reclaimer member names DomainReclaimer<NoReclaimDomain>.
+    static constexpr unsigned bg_collect() noexcept { return 0; }
+    static constexpr bool bg_reclaim() noexcept { return false; }
   };
 
-  explicit NoReclaimDomain(SmrConfig cfg = {})
-      : cfg_(cfg),
-        pool_(cfg.max_threads)
-#ifndef SCOT_DISALLOW_TID_SHIM
-        ,
-        shim_(cfg.max_threads)
-#endif
-  {
-  }
+  explicit NoReclaimDomain(SmrConfig cfg = {}) : DomainCore(cfg) {}
 
-  // --- dynamic membership --------------------------------------------------
-  // Claims a per-thread handle; the returned reference stays valid until
-  // the matching leave().  Lock-free (one CAS on the re-join fast path).
-  Handle& join() {
-    auto* rec =
-        registry_.acquire([this](unsigned idx) { return Handle(this, idx); });
-    rec->handle.registry_record_ = rec;
-    pool_.ensure_shards(rec->index + 1);
-    obs::count(rec->handle.stats_, obs::Counter::kJoins);
-    obs::trace_instant(obs::TraceKind::kJoin);
-    return rec->handle;
-  }
-
-  // Returns the handle's record for reuse.  Contract: no operation in
-  // flight.  NR has no per-thread reclamation state to hand off; the
-  // reclaiming schemes scan and donate leftover retires here.
-  void leave(Handle& h) {
-    obs::count(h.stats_, obs::Counter::kLeaves);
-    obs::trace_instant(obs::TraceKind::kLeave);
-    registry_.release(record_of(h));
-  }
-
-  unsigned active_handles() const noexcept { return registry_.active(); }
-  std::size_t total_handle_records() const noexcept {
-    return registry_.total_records();
-  }
-  const HandleRegistry<Handle>& registry() const noexcept { return registry_; }
-
-#ifndef SCOT_DISALLOW_TID_SHIM
-  // DEPRECATED: fixed-capacity tid-indexed access (joins once per tid and
-  // pins the record forever).  New code should use scoped_handle(domain).
-  Handle& handle(unsigned tid) { return shim_.get(*this, tid); }
-#endif
-
-  // --- background reclamation ---------------------------------------------
-  // NR never reclaims, so there is nothing for a service thread to do; the
-  // uniform accessors keep generic callers (bench runner, tests) scheme-
-  // agnostic.  start/stop are accepted and ignored.
+  // NR never reclaims, so there is nothing for a service thread to do:
+  // start/stop are accepted and ignored.
   bool background_active() const noexcept { return false; }
   BgReclaimStats background_stats() const noexcept { return {}; }
   void start_background_reclaimer() noexcept {}
   void stop_background_reclaimer() noexcept {}
-
-  const SmrConfig& config() const noexcept { return cfg_; }
-  NodePool& pool() noexcept { return pool_; }
-  std::int64_t pending_nodes() const noexcept {
-    return counters_.pending.load(std::memory_order_relaxed);
-  }
-  const SmrCounters& counters() const noexcept { return counters_; }
-
-  // Observability (DESIGN.md §8): the per-handle cell list and the
-  // aggregated snapshot.
-  obs::DomainStats& obs_stats() noexcept { return stats_obs_; }
-  obs::StatsSnapshot stats() const {
-    obs::StatsSnapshot s = stats_obs_.snapshot();
-    s.enabled = SCOT_STATS != 0 && cfg_.track_stats;
-    s.pending = pending_nodes();
-    s.retired_total = counters_.retired.load(std::memory_order_relaxed);
-    s.reclaimed_total = counters_.reclaimed.load(std::memory_order_relaxed);
-    return s;
-  }
-
- private:
-  friend class Handle;
-
-  using Record = HandleRegistry<Handle>::Record;
-  static Record* record_of(Handle& h) noexcept {
-    return static_cast<Record*>(h.registry_record_);
-  }
-
-  SmrConfig cfg_;
-  NodePool pool_;
-  SmrCounters counters_;
-  // Declared before the registry: handles hold raw cell pointers, so the
-  // cell list must be destroyed after the records are.
-  obs::DomainStats stats_obs_;
-  HandleRegistry<Handle> registry_;
-#ifndef SCOT_DISALLOW_TID_SHIM
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  TidHandleShim<Handle> shim_;
-#pragma GCC diagnostic pop
-#endif
 };
 
 }  // namespace scot

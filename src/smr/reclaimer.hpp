@@ -39,9 +39,9 @@
 //    donates whatever is still reservation-protected to the orphan mailbox.
 //    Custody is preserved at every step; nothing leaks (ASan-verified in
 //    tests/smr/reclaimer_test.cpp).
-//  * The domain destructor calls stop before drain_all(), and drain_all
-//    also empties the background mailbox — so shutdown mid-donation is
-//    safe.
+//  * The domain destructor's DomainCore::shutdown() stops the reclaimer
+//    before its drain, and the drain also empties the background mailbox —
+//    so shutdown mid-donation is safe.
 //  * fork() note: like any thread-owning object, the reclaimer does not
 //    survive fork(); a child process must not touch a domain whose parent
 //    had background reclamation running.  (No fork handlers are installed —

@@ -1,6 +1,5 @@
-// Umbrella header for the reclamation schemes, plus the compile-time
-// concepts data structures are written against (v1 indexed calls and the
-// v2 guard-centric surface — see smr/guard.hpp and DESIGN.md §6).
+// Umbrella header for the reclamation schemes, plus the one compile-time
+// concept the data structures are written against (DESIGN.md §6).
 #pragma once
 
 #include <atomic>
@@ -20,111 +19,66 @@
 
 namespace scot {
 
-// The v1 policy interface: indexed protection with manual slot bookkeeping.
-// Kept intact as the compatibility surface — HandleCore and the scheme
-// handles still provide every one of these calls, so pre-v2 code keeps
-// compiling.  See DESIGN.md §4: indexed protection maps to real slots for
-// HP/HE and to no-ops for EBR/IBR/Hyaline/NR, so one SCOT implementation
-// serves all schemes.
+// A reclamation domain and its per-thread Handle.
+//
+//  * Handle: indexed protection (protect/publish/dup), operation brackets
+//    and Hyaline-style validity polling, retirement.  Indexed protection
+//    maps to real slots for HP/HE and to no-ops for EBR/IBR/Hyaline/NR, so
+//    one SCOT implementation serves all schemes (DESIGN.md §4).  The typed
+//    guard surface (smr/guard.hpp) is a zero-cost veneer over these calls.
+//  * Domain: dynamic membership — join()/leave() at any point in the
+//    domain's lifetime; scoped_handle(d) is the RAII spelling (DESIGN.md
+//    §7) — the background-reclaimer lifecycle (a no-op for NR, DESIGN.md
+//    §9) and the observers.
+//
+// Every scheme gets the domain half from DomainCore (smr/domain_core.hpp).
 template <class D>
-concept SmrDomain = requires(D d, typename D::Handle& h,
-                             const std::atomic<ReclaimNode*>& src,
-                             ReclaimNode* n, unsigned idx) {
-  { D::kName } -> std::convertible_to<const char*>;
-  { D::kRobust } -> std::convertible_to<bool>;
-#ifndef SCOT_DISALLOW_TID_SHIM
-  { d.handle(idx) } -> std::same_as<typename D::Handle&>;
-#endif
-  { d.pending_nodes() } -> std::convertible_to<std::int64_t>;
-  h.begin_op();
-  h.end_op();
-  { h.protect(src, idx) } -> std::same_as<ReclaimNode*>;
-  h.publish(n, idx);
-  h.dup(idx, idx);
-  { h.op_valid() } -> std::convertible_to<bool>;
-  h.revalidate_op();
-  h.retire(n);
-};
-
-// The v2 contract the data structures in src/core are written against:
-// everything v1 provides, plus the typed guard-centric surface — RAII
-// operation guards, named protection slots with the ascending-dup
-// discipline asserted inside, typed Protected<T> views and typed
-// retirement.  All of it is a zero-cost veneer over the v1 calls, so any
-// SmrDomain whose handle derives from HandleCore models SmrDomainV2 for
-// free.
-template <class D>
-concept SmrDomainV2 =
-    SmrDomain<D> &&
-    requires(D d, typename D::Handle& h, TraversalGuard<typename D::Handle>& g,
+concept SmrDomain =
+    requires(D d, typename D::Handle& h, const std::atomic<ReclaimNode*>& src,
+             ReclaimNode* n, unsigned idx, TraversalGuard<typename D::Handle>& g,
              ProtectionSlot<typename D::Handle, ReclaimNode> slot,
              const StableAtomic<marked_ptr<ReclaimNode>>& link,
-             Protected<ReclaimNode> p, ReclaimNode* anchor) {
-      { d.config() } -> std::convertible_to<const SmrConfig&>;
+             Protected<ReclaimNode> p) {
+      { D::kName } -> std::convertible_to<const char*>;
+      { D::kRobust } -> std::convertible_to<bool>;
+      h.begin_op();
+      h.end_op();
+      { h.protect(src, idx) } -> std::same_as<ReclaimNode*>;
+      h.publish(n, idx);
+      h.dup(idx, idx);
+      { h.op_valid() } -> std::convertible_to<bool>;
+      h.revalidate_op();
+      h.retire(n);
+      h.retire(p);
       { g.handle() } -> std::same_as<typename D::Handle&>;
       { g.valid() } -> std::convertible_to<bool>;
       g.revalidate();
       { g.template slot<ReclaimNode>() } ->
           std::same_as<ProtectionSlot<typename D::Handle, ReclaimNode>>;
       { slot.protect(link) } -> std::same_as<Protected<ReclaimNode>>;
-      slot.publish(anchor);
+      slot.publish(n);
       slot.dup_from(slot);
-      h.retire(p);
-    };
-
-static_assert(SmrDomainV2<NoReclaimDomain>);
-static_assert(SmrDomainV2<EbrDomain>);
-static_assert(SmrDomainV2<HpDomain>);
-static_assert(SmrDomainV2<HpOptDomain>);
-static_assert(SmrDomainV2<HeDomain>);
-static_assert(SmrDomainV2<IbrDomain>);
-static_assert(SmrDomainV2<HyalineDomain>);
-
-// Dynamic membership (this PR): threads join()/leave() the domain at any
-// point in its lifetime instead of being bound to a [0, max_threads) tid at
-// construction.  join() returns a handle backed by a registry record;
-// leave() retires the record for reuse and hands any still-pending retired
-// nodes to the domain for adoption by the next retirer.  scoped_handle(d)
-// (smr/handle_registry.hpp) is the RAII spelling and the preferred way to
-// obtain a handle.  d.handle(tid) remains as a deprecated fixed-capacity
-// shim.  See DESIGN.md §7 for the lifecycle invariants.
-template <class D>
-concept SmrDomainDynamic =
-    SmrDomainV2<D> && requires(D d, typename D::Handle& h) {
       { d.join() } -> std::same_as<typename D::Handle&>;
       d.leave(h);
       { d.active_handles() } -> std::convertible_to<unsigned>;
       { d.total_handle_records() } -> std::convertible_to<std::size_t>;
-      { d.registry() } ->
-          std::same_as<const HandleRegistry<typename D::Handle>&>;
-      // Background reclamation (DESIGN.md §9): every domain exposes the
-      // uniform lifecycle surface; NR's is a no-op.
+      { d.registry() } -> std::same_as<const HandleRegistry<D>&>;
+      { d.config() } -> std::convertible_to<const SmrConfig&>;
+      { d.pending_nodes() } -> std::convertible_to<std::int64_t>;
+      { d.restarts() } -> std::convertible_to<std::uint64_t>;
+      { d.recoveries() } -> std::convertible_to<std::uint64_t>;
       { d.background_active() } -> std::convertible_to<bool>;
       { d.background_stats() } -> std::same_as<BgReclaimStats>;
       d.start_background_reclaimer();
       d.stop_background_reclaimer();
     };
 
-static_assert(SmrDomainDynamic<NoReclaimDomain>);
-static_assert(SmrDomainDynamic<EbrDomain>);
-static_assert(SmrDomainDynamic<HpDomain>);
-static_assert(SmrDomainDynamic<HpOptDomain>);
-static_assert(SmrDomainDynamic<HeDomain>);
-static_assert(SmrDomainDynamic<IbrDomain>);
-static_assert(SmrDomainDynamic<HyalineDomain>);
-
-// RAII guard for an SMR critical section (v1 spelling; TraversalGuard is
-// the v2 equivalent and additionally owns slot allocation).
-template <class Handle>
-class OpGuard {
- public:
-  explicit OpGuard(Handle& h) : h_(h) { h_.begin_op(); }
-  ~OpGuard() { h_.end_op(); }
-  OpGuard(const OpGuard&) = delete;
-  OpGuard& operator=(const OpGuard&) = delete;
-
- private:
-  Handle& h_;
-};
+static_assert(SmrDomain<NoReclaimDomain>);
+static_assert(SmrDomain<EbrDomain>);
+static_assert(SmrDomain<HpDomain>);
+static_assert(SmrDomain<HpOptDomain>);
+static_assert(SmrDomain<HeDomain>);
+static_assert(SmrDomain<IbrDomain>);
+static_assert(SmrDomain<HyalineDomain>);
 
 }  // namespace scot

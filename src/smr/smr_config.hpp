@@ -44,8 +44,10 @@ inline bool bg_reclaim_default() noexcept {
 }  // namespace smr_config_detail
 
 struct SmrConfig {
-  // Capacity: number of handles (threads) the domain serves.  Handle ids are
-  // dense in [0, max_threads).
+  // Expected thread count — a sizing hint, not a cap (threads join and
+  // leave freely).  It is the node pool's initial shard count, the wait-free
+  // help registry's initial size, and Hyaline's default batch capacity
+  // (max_threads + 1).
   unsigned max_threads = 8;
 
   // Limbo-list scan frequency: reclamation is attempted once per

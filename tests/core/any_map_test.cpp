@@ -54,11 +54,12 @@ TEST(AnyMap, AblationVariantCellsAreRegisteredAndFunctional) {
       SCOPED_TRACE(cell_name(s, d));
       auto map = AnyMap::make(s, d, small_options());
       ASSERT_TRUE(map.has_value());
-      EXPECT_TRUE(map->insert(0, 7, 70));
-      EXPECT_TRUE(map->contains(0, 7));
-      EXPECT_FALSE(map->contains(0, 8));
-      EXPECT_TRUE(map->erase(0, 7));
-      EXPECT_FALSE(map->contains(0, 7));
+      auto session = map->session();
+      EXPECT_TRUE(session.insert(7, 70));
+      EXPECT_TRUE(session.contains(7));
+      EXPECT_FALSE(session.contains(8));
+      EXPECT_TRUE(session.erase(7));
+      EXPECT_FALSE(session.contains(7));
     }
   }
 }
@@ -78,8 +79,9 @@ TEST(AnyMap, StatsSnapshotReflectsWorkload) {
   auto map = AnyMap::make(SchemeId::kEBR, StructureId::kHMList,
                           small_options());
   ASSERT_TRUE(map.has_value());
-  for (std::uint64_t k = 0; k < 32; ++k) ASSERT_TRUE(map->insert(0, k, k));
-  for (std::uint64_t k = 0; k < 32; ++k) ASSERT_TRUE(map->erase(0, k));
+  auto session = map->session();
+  for (std::uint64_t k = 0; k < 32; ++k) ASSERT_TRUE(session.insert(k, k));
+  for (std::uint64_t k = 0; k < 32; ++k) ASSERT_TRUE(session.erase(k));
   const obs::StatsSnapshot s = map->stats();
   if (!s.enabled) GTEST_SKIP() << "stats compiled out (SCOT_STATS=0)";
   // Every erase retires the unlinked node through the facade's domain.
@@ -98,25 +100,26 @@ TEST(AnyMap, EveryCellSingleThreadedSemantics) {
       SCOPED_TRACE(cell_name(s, d));
       auto map = AnyMap::make(s, d, small_options());
       ASSERT_TRUE(map.has_value());
+      auto session = map->session();
 
       for (std::uint64_t k = 0; k < kKeys; ++k) {
-        EXPECT_TRUE(map->insert(0, k, k * 10));
-        EXPECT_FALSE(map->insert(0, k, k)) << "duplicate insert must fail";
+        EXPECT_TRUE(session.insert(k, k * 10));
+        EXPECT_FALSE(session.insert(k, k)) << "duplicate insert must fail";
       }
       EXPECT_EQ(map->size_unsafe(), kKeys);  // full iteration
       for (std::uint64_t k = 0; k < kKeys; ++k) {
-        EXPECT_TRUE(map->contains(0, k));
-        const auto v = map->get(0, k);
+        EXPECT_TRUE(session.contains(k));
+        const auto v = session.get(k);
         ASSERT_TRUE(v.has_value());
         EXPECT_EQ(*v, k * 10);
       }
       for (std::uint64_t k = 0; k < kKeys; k += 2) {
-        EXPECT_TRUE(map->erase(0, k));
-        EXPECT_FALSE(map->erase(0, k)) << "double erase must fail";
+        EXPECT_TRUE(session.erase(k));
+        EXPECT_FALSE(session.erase(k)) << "double erase must fail";
       }
       EXPECT_EQ(map->size_unsafe(), kKeys / 2);
       for (std::uint64_t k = 0; k < kKeys; ++k) {
-        EXPECT_EQ(map->contains(0, k), k % 2 == 1);
+        EXPECT_EQ(session.contains(k), k % 2 == 1);
       }
 
       // Leak check via the domain-wide gauge: when quiescent, the
@@ -145,13 +148,14 @@ TEST(AnyMap, EveryCellConcurrentChurnSmoke) {
       auto map = AnyMap::make(s, d, small_options(2));
       ASSERT_TRUE(map.has_value());
       test::run_threads(2, [&](unsigned tid) {
+        auto session = map->session();
         Xoshiro256 rng(0xA11CE + tid);
         for (int i = 0; i < iters; ++i) {
           const std::uint64_t k = rng.next_in(kRange);
           switch (rng.next_in(3)) {
-            case 0: map->insert(tid, k, k); break;
-            case 1: map->erase(tid, k); break;
-            default: map->contains(tid, k); break;
+            case 0: session.insert(k, k); break;
+            case 1: session.erase(k); break;
+            default: session.contains(k); break;
           }
         }
       });

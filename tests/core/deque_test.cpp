@@ -173,15 +173,18 @@ TEST(AnyDeque, EverySchemeConcurrentMixedEndConservation) {
   }
 }
 
-TEST(AnyDeque, DeprecatedTidSurfaceStillWorks) {
+// Two sessions of one thread are two handles on one shared deque.
+TEST(AnyDeque, TwoSessionsShareOneDeque) {
   auto dq = AnyDeque::make(SchemeId::kHE, StructureId::kDeque,
                            small_options(2));
   ASSERT_TRUE(dq.has_value());
-  EXPECT_TRUE(dq->push_left(0, 11));
-  EXPECT_TRUE(dq->push_right(1, 22));
-  EXPECT_EQ(dq->pop_right(0), 22u);
-  EXPECT_EQ(dq->pop_right(1), 11u);
-  EXPECT_EQ(dq->pop_left(0), std::nullopt);
+  auto s0 = dq->session();
+  auto s1 = dq->session();
+  EXPECT_TRUE(s0.push_left(11));
+  EXPECT_TRUE(s1.push_right(22));
+  EXPECT_EQ(s0.pop_right(), 22u);
+  EXPECT_EQ(s1.pop_right(), 11u);
+  EXPECT_EQ(s0.pop_left(), std::nullopt);
 }
 
 // Destruction with elements resident — and, in the concurrent variant,

@@ -5,6 +5,7 @@
 
 #include <atomic>
 
+#include "core/any_map.hpp"
 #include "tests/test_util.hpp"
 
 namespace scot {
@@ -23,12 +24,14 @@ template <class List, class Smr>
 void disjoint_inserts(Smr& smr, unsigned threads, Key per_thread) {
   List list(smr);
   test::run_threads(threads, [&](unsigned tid) {
-    auto& h = smr.handle(tid);
+    auto sh = scoped_handle(smr);
+    auto& h = *sh;
     for (Key i = 0; i < per_thread; ++i) {
       ASSERT_TRUE(list.insert(h, i * threads + tid, tid));
     }
   });
-  auto& h = smr.handle(0);
+  auto sh = scoped_handle(smr);
+  auto& h = *sh;
   EXPECT_EQ(list.size_unsafe(), threads * per_thread);
   for (Key k = 0; k < threads * per_thread; ++k) {
     EXPECT_TRUE(list.contains(h, k)) << "missing key " << k;
@@ -54,16 +57,18 @@ void same_key_races(Smr& smr, unsigned threads) {
   for (int round = 0; round < rounds; ++round) {
     std::atomic<int> ins_wins{0}, del_wins{0};
     test::run_threads(threads, [&](unsigned tid) {
-      auto& h = smr.handle(tid);
+      auto sh = scoped_handle(smr);
+      auto& h = *sh;
       if (list.insert(h, 42, tid)) ins_wins.fetch_add(1);
     });
     EXPECT_EQ(ins_wins.load(), 1) << "round " << round;
-    test::run_threads(threads, [&](unsigned tid) {
-      auto& h = smr.handle(tid);
+    test::run_threads(threads, [&](unsigned) {
+      auto sh = scoped_handle(smr);
+      auto& h = *sh;
       if (list.erase(h, 42)) del_wins.fetch_add(1);
     });
     EXPECT_EQ(del_wins.load(), 1) << "round " << round;
-    EXPECT_FALSE(list.contains(smr.handle(0), 42));
+    EXPECT_FALSE(list.contains(*scoped_handle(smr), 42));
   }
 }
 
@@ -82,7 +87,8 @@ template <class List, class Smr>
 void churn_then_drain(Smr& smr, unsigned threads, Key range, int iters) {
   List list(smr);
   test::run_threads(threads, [&](unsigned tid) {
-    auto& h = smr.handle(tid);
+    auto sh = scoped_handle(smr);
+    auto& h = *sh;
     Xoshiro256 rng(tid * 7919 + 13);
     for (int i = 0; i < iters; ++i) {
       const Key k = rng.next_in(range);
@@ -100,7 +106,8 @@ void churn_then_drain(Smr& smr, unsigned threads, Key range, int iters) {
       }
     }
   });
-  auto& h = smr.handle(0);
+  auto sh = scoped_handle(smr);
+  auto& h = *sh;
   std::size_t live = 0;
   for (Key k = 0; k < range; ++k) {
     const bool c = list.contains(h, k);
@@ -140,11 +147,12 @@ TYPED_TEST(ListConcurrentTest, ReadersNeverObserveErasedThenPresentKey) {
   // always find it, no matter how much churn surrounds it.
   TypeParam smr(test::small_config(4));
   HarrisList<Key, Val, TypeParam> list(smr);
-  ASSERT_TRUE(list.insert(smr.handle(0), 500, 1));
+  ASSERT_TRUE(list.insert(*scoped_handle(smr), 500, 1));
   std::atomic<bool> stop{false};
   std::atomic<int> misses{0};
   test::run_threads(4, [&](unsigned tid) {
-    auto& h = smr.handle(tid);
+    auto sh = scoped_handle(smr);
+    auto& h = *sh;
     if (tid == 0) {
       Xoshiro256 rng(3);
       const int iters = test::scaled_iters(60000);
@@ -180,7 +188,8 @@ TYPED_TEST(ListConcurrentTest, RestartCountersBehaveLikeTable2) {
   const int kIters = test::scaled_iters(30000);
   auto workload = [&](auto& list, auto& smr) {
     test::run_threads(8, [&](unsigned tid) {
-      auto& h = smr.handle(tid);
+      auto sh = scoped_handle(smr);
+      auto& h = *sh;
       Xoshiro256 rng(tid + 100);
       for (int i = 0; i < kIters; ++i) {
         const Key k = rng.next_in(32);
@@ -198,9 +207,7 @@ TYPED_TEST(ListConcurrentTest, RestartCountersBehaveLikeTable2) {
         }
       }
     });
-    std::uint64_t restarts = 0;
-    for (unsigned t = 0; t < 8; ++t) restarts += smr.handle(t).ds_restarts;
-    return restarts;
+    return smr.restarts();
   };
   const std::uint64_t hm_restarts = workload(hm, smr1);
   const std::uint64_t hl_restarts = workload(hl, smr2);
@@ -211,6 +218,44 @@ TYPED_TEST(ListConcurrentTest, RestartCountersBehaveLikeTable2) {
       << "Harris+SCOT restart rate should stay below 1% of operations";
   this->RecordProperty("hm_restarts", static_cast<int>(hm_restarts));
   this->RecordProperty("hl_restarts", static_cast<int>(hl_restarts));
+}
+
+// The facade sums every handle's Table-2 counters while sessions are still
+// bumping them (a live dashboard reading restarts() mid-run).  The counters
+// are single-writer relaxed atomics, so the read is race-free — TSan checks
+// that — and each successive sum can only grow.
+TEST(ListConcurrentFacade, RestartsReadableWhileSessionsRun) {
+  auto map = AnyMap::make(SchemeId::kHP, StructureId::kHMList,
+                          {test::small_config(4), 0});
+  ASSERT_TRUE(map);
+  constexpr unsigned kWriters = 3;
+  const int iters = test::scaled_iters(20000);
+  std::atomic<unsigned> done{0};
+  std::uint64_t last = 0;
+  bool monotonic = true;
+  test::run_threads(kWriters + 1, [&](unsigned tid) {
+    if (tid == kWriters) {
+      while (done.load() < kWriters) {
+        const std::uint64_t now = map->restarts() + map->recoveries();
+        if (now < last) monotonic = false;
+        last = now;
+      }
+      return;
+    }
+    auto s = map->session();
+    Xoshiro256 rng(tid + 7);
+    for (int i = 0; i < iters; ++i) {
+      const Key k = rng.next_in(16);
+      if (rng.next_in(2)) {
+        s.insert(k, k);
+      } else {
+        s.erase(k);
+      }
+    }
+    done.fetch_add(1);
+  });
+  EXPECT_TRUE(monotonic) << "a restart sum went backwards";
+  EXPECT_GE(map->restarts() + map->recoveries(), last);
 }
 
 }  // namespace

@@ -29,7 +29,8 @@ TYPED_TEST_SUITE(ListSemanticsTest, test::AllSchemes);
 template <class List, class Smr>
 void check_basic_semantics(Smr& smr) {
   List list(smr);
-  auto& h = smr.handle(0);
+  auto sh = scoped_handle(smr);
+  auto& h = *sh;
   EXPECT_FALSE(list.contains(h, 1));
   EXPECT_FALSE(list.erase(h, 1));
   EXPECT_EQ(list.size_unsafe(), 0u);
@@ -62,7 +63,8 @@ void check_basic_semantics(Smr& smr) {
 template <class List, class Smr>
 void check_boundary_keys(Smr& smr) {
   List list(smr);
-  auto& h = smr.handle(0);
+  auto sh = scoped_handle(smr);
+  auto& h = *sh;
   const Key lo = 0;
   const Key hi = std::numeric_limits<Key>::max();
   EXPECT_TRUE(list.insert(h, lo, 1));
@@ -80,14 +82,16 @@ template <class List, class Smr>
 void check_descending_and_ascending_fill(Smr& smr) {
   {
     List list(smr);
-    auto& h = smr.handle(0);
+    auto sh = scoped_handle(smr);
+    auto& h = *sh;
     for (Key k = 100; k-- > 0;) EXPECT_TRUE(list.insert(h, k, k));
     EXPECT_EQ(list.size_unsafe(), 100u);
     for (Key k = 0; k < 100; ++k) EXPECT_TRUE(list.contains(h, k));
   }
   {
     List list(smr);
-    auto& h = smr.handle(0);
+    auto sh = scoped_handle(smr);
+    auto& h = *sh;
     for (Key k = 0; k < 100; ++k) EXPECT_TRUE(list.insert(h, k, k));
     for (Key k = 0; k < 100; ++k) EXPECT_TRUE(list.erase(h, k));
     EXPECT_EQ(list.size_unsafe(), 0u);
@@ -131,7 +135,8 @@ TYPED_TEST(ListSemanticsTest, CustomComparatorReversesOrder) {
   TypeParam smr(test::small_config());
   HarrisList<Key, Val, TypeParam, HarrisListTraits, std::greater<Key>> list(
       smr);
-  auto& h = smr.handle(0);
+  auto sh = scoped_handle(smr);
+  auto& h = *sh;
   EXPECT_TRUE(list.insert(h, 5, 0));
   EXPECT_TRUE(list.insert(h, 9, 0));
   EXPECT_TRUE(list.insert(h, 1, 0));
@@ -145,7 +150,8 @@ TYPED_TEST(ListSemanticsTest, CustomComparatorReversesOrder) {
 TYPED_TEST(ListSemanticsTest, EraseToEmptyAndReuse) {
   TypeParam smr(test::small_config());
   typename ListFixtures<TypeParam>::HL list(smr);
-  auto& h = smr.handle(0);
+  auto sh = scoped_handle(smr);
+  auto& h = *sh;
   for (int round = 0; round < 10; ++round) {
     for (Key k = 0; k < 20; ++k) ASSERT_TRUE(list.insert(h, k, k));
     for (Key k = 0; k < 20; ++k) ASSERT_TRUE(list.erase(h, k));
@@ -160,7 +166,8 @@ TYPED_TEST(ListSemanticsTest, EraseToEmptyAndReuse) {
 TYPED_TEST(ListSemanticsTest, GetReturnsInsertedValueNotDefault) {
   TypeParam smr(test::small_config());
   typename ListFixtures<TypeParam>::HM list(smr);
-  auto& h = smr.handle(0);
+  auto sh = scoped_handle(smr);
+  auto& h = *sh;
   EXPECT_TRUE(list.insert(h, 123, 456));
   auto v = list.get(h, 123);
   ASSERT_TRUE(v.has_value());

@@ -172,16 +172,18 @@ TEST(AnyQueue, EverySchemeConcurrentConservationAndOrder) {
   }
 }
 
-// The tid surface stays usable for fixed-capacity callers.
-TEST(AnyQueue, DeprecatedTidSurfaceStillWorks) {
+// Two sessions of one thread are two handles on one shared queue.
+TEST(AnyQueue, TwoSessionsShareOneQueue) {
   auto q = AnyQueue::make(SchemeId::kIBR, StructureId::kMSQueue,
                           small_options(2));
   ASSERT_TRUE(q.has_value());
-  EXPECT_TRUE(q->enqueue(0, 11));
-  EXPECT_TRUE(q->enqueue(1, 22));
-  EXPECT_EQ(q->dequeue(0), 11u);
-  EXPECT_EQ(q->dequeue(1), 22u);
-  EXPECT_EQ(q->dequeue(0), std::nullopt);
+  auto s0 = q->session();
+  auto s1 = q->session();
+  EXPECT_TRUE(s0.enqueue(11));
+  EXPECT_TRUE(s1.enqueue(22));
+  EXPECT_EQ(s0.dequeue(), 11u);
+  EXPECT_EQ(s1.dequeue(), 22u);
+  EXPECT_EQ(s0.dequeue(), std::nullopt);
 }
 
 // Destruction with elements still linked must release every node through

@@ -20,14 +20,16 @@ TYPED_TEST_SUITE(ScotZoneTest, test::AllSchemes);
 
 template <class List, class Smr>
 void fill(List& list, Smr& smr, Key n) {
-  auto& h = smr.handle(0);
+  auto sh = scoped_handle(smr);
+  auto& h = *sh;
   for (Key k = 0; k < n; ++k) ASSERT_TRUE(list.insert(h, k, k));
 }
 
 TYPED_TEST(ScotZoneTest, SearchSkipsMarkedChainWithoutUnlinking) {
   TypeParam smr(test::small_config());
   HarrisList<Key, Val, TypeParam> list(smr);
-  auto& h = smr.handle(0);
+  auto sh = scoped_handle(smr);
+  auto& h = *sh;
   fill(list, smr, 8);
   // Build the chain 2 -> 3 -> 4 (all logically deleted, still linked).
   for (Key k : {2, 3, 4}) ASSERT_TRUE(list.debug_mark_only(h, k));
@@ -45,7 +47,8 @@ TYPED_TEST(ScotZoneTest, SearchSkipsMarkedChainWithoutUnlinking) {
 TYPED_TEST(ScotZoneTest, UpdateTraversalPrunesWholeChainWithOneCas) {
   TypeParam smr(test::small_config());
   HarrisList<Key, Val, TypeParam> list(smr);
-  auto& h = smr.handle(0);
+  auto sh = scoped_handle(smr);
+  auto& h = *sh;
   fill(list, smr, 8);
   for (Key k : {2, 3, 4}) ASSERT_TRUE(list.debug_mark_only(h, k));
   const std::int64_t pending_before = smr.pending_nodes();
@@ -68,7 +71,8 @@ TYPED_TEST(ScotZoneTest, ChainAtHeadIsTraversedAndPruned) {
   // exercises the simple-traversal fix-up documented in do_find.
   TypeParam smr(test::small_config());
   HarrisList<Key, Val, TypeParam, HarrisListSimpleTraits> list(smr);
-  auto& h = smr.handle(0);
+  auto sh = scoped_handle(smr);
+  auto& h = *sh;
   fill(list, smr, 6);
   for (Key k : {0, 1, 2}) ASSERT_TRUE(list.debug_mark_only(h, k));
   EXPECT_FALSE(list.contains(h, 0));
@@ -80,7 +84,8 @@ TYPED_TEST(ScotZoneTest, ChainAtHeadIsTraversedAndPruned) {
 TYPED_TEST(ScotZoneTest, ChainAtTailBeforeSentinel) {
   TypeParam smr(test::small_config());
   HarrisList<Key, Val, TypeParam> list(smr);
-  auto& h = smr.handle(0);
+  auto sh = scoped_handle(smr);
+  auto& h = *sh;
   fill(list, smr, 6);
   for (Key k : {4, 5}) ASSERT_TRUE(list.debug_mark_only(h, k));
   EXPECT_FALSE(list.contains(h, 5));
@@ -95,7 +100,8 @@ TYPED_TEST(ScotZoneTest, ChainAtTailBeforeSentinel) {
 TYPED_TEST(ScotZoneTest, EntireListMarked) {
   TypeParam smr(test::small_config());
   HarrisList<Key, Val, TypeParam> list(smr);
-  auto& h = smr.handle(0);
+  auto sh = scoped_handle(smr);
+  auto& h = *sh;
   fill(list, smr, 10);
   for (Key k = 0; k < 10; ++k) ASSERT_TRUE(list.debug_mark_only(h, k));
   EXPECT_EQ(list.size_unsafe(), 0u);
@@ -108,7 +114,8 @@ TYPED_TEST(ScotZoneTest, EntireListMarked) {
 TYPED_TEST(ScotZoneTest, AdjacentChainsSeparatedByLiveNode) {
   TypeParam smr(test::small_config());
   HarrisList<Key, Val, TypeParam> list(smr);
-  auto& h = smr.handle(0);
+  auto sh = scoped_handle(smr);
+  auto& h = *sh;
   fill(list, smr, 10);
   for (Key k : {1, 2}) ASSERT_TRUE(list.debug_mark_only(h, k));
   for (Key k : {4, 5}) ASSERT_TRUE(list.debug_mark_only(h, k));
@@ -131,7 +138,8 @@ TYPED_TEST(ScotZoneTest, ConcurrentZoneTraversalVsPruning) {
   fill(list, smr, 64);
   std::atomic<bool> stop{false};
   test::run_threads(4, [&](unsigned tid) {
-    auto& h = smr.handle(tid);
+    auto sh = scoped_handle(smr);
+    auto& h = *sh;
     if (tid == 0) {
       Xoshiro256 rng(1);
       for (int i = 0; i < 20000; ++i) {
@@ -150,7 +158,8 @@ TYPED_TEST(ScotZoneTest, ConcurrentZoneTraversalVsPruning) {
     }
   });
   // Coherence drain.
-  auto& h = smr.handle(0);
+  auto sh = scoped_handle(smr);
+  auto& h = *sh;
   for (Key k = 0; k < 64; ++k) {
     { const bool was_present = list.contains(h, k); const bool erased = list.erase(h, k); EXPECT_EQ(was_present, erased) << "key " << k; }
   }
@@ -165,7 +174,8 @@ TYPED_TEST(ScotZoneTest, RecoveryOptimizationEngagesUnderContention) {
   HarrisList<Key, Val, TypeParam, HarrisListNoRecoveryTraits> list(smr);
   fill(list, smr, 32);
   test::run_threads(4, [&](unsigned tid) {
-    auto& h = smr.handle(tid);
+    auto sh = scoped_handle(smr);
+    auto& h = *sh;
     Xoshiro256 rng(tid + 5);
     for (int i = 0; i < 20000; ++i) {
       const Key k = rng.next_in(32);
@@ -177,9 +187,7 @@ TYPED_TEST(ScotZoneTest, RecoveryOptimizationEngagesUnderContention) {
       list.contains(h, rng.next_in(32));
     }
   });
-  std::uint64_t recoveries = 0;
-  for (unsigned t = 0; t < 4; ++t) recoveries += smr.handle(t).ds_recoveries;
-  EXPECT_EQ(recoveries, 0u) << "recovery must never fire when disabled";
+  EXPECT_EQ(smr.recoveries(), 0u) << "recovery must never fire when disabled";
 }
 
 }  // namespace

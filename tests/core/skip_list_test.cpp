@@ -20,7 +20,8 @@ TYPED_TEST_SUITE(SkipListTest, test::AllSchemes);
 template <class SL, class Smr>
 void check_semantics(Smr& smr) {
   SL sl(smr);
-  auto& h = smr.handle(0);
+  auto sh = scoped_handle(smr);
+  auto& h = *sh;
   EXPECT_FALSE(sl.contains(h, 5));
   EXPECT_FALSE(sl.erase(h, 5));
   EXPECT_TRUE(sl.insert(h, 5, 50));
@@ -47,7 +48,8 @@ TYPED_TEST(SkipListTest, BasicSemanticsEager) {
 TYPED_TEST(SkipListTest, ManyKeysMirrorReferenceSet) {
   TypeParam smr(test::small_config());
   SkipList<Key, Val, TypeParam> sl(smr);
-  auto& h = smr.handle(0);
+  auto sh = scoped_handle(smr);
+  auto& h = *sh;
   std::set<Key> ref;
   Xoshiro256 rng(77);
   const int iters = test::scaled_iters(20000);
@@ -68,7 +70,8 @@ TYPED_TEST(SkipListTest, ManyKeysMirrorReferenceSet) {
 TYPED_TEST(SkipListTest, LevelsStaySortedSublists) {
   TypeParam smr(test::small_config());
   SkipList<Key, Val, TypeParam> sl(smr);
-  auto& h = smr.handle(0);
+  auto sh = scoped_handle(smr);
+  auto& h = *sh;
   for (Key k = 0; k < 500; ++k) ASSERT_TRUE(sl.insert(h, k * 7 % 500, k));
   EXPECT_TRUE(sl.check_structure_unsafe());
   for (Key k = 0; k < 500; k += 3) ASSERT_TRUE(sl.erase(h, k));
@@ -79,10 +82,12 @@ TYPED_TEST(SkipListTest, DisjointConcurrentInserts) {
   TypeParam smr(test::small_config(4));
   SkipList<Key, Val, TypeParam> sl(smr);
   test::run_threads(4, [&](unsigned tid) {
-    auto& h = smr.handle(tid);
+    auto sh = scoped_handle(smr);
+    auto& h = *sh;
     for (Key i = 0; i < 400; ++i) ASSERT_TRUE(sl.insert(h, i * 4 + tid, tid));
   });
-  auto& h = smr.handle(0);
+  auto sh = scoped_handle(smr);
+  auto& h = *sh;
   EXPECT_EQ(sl.size_unsafe(), 1600u);
   EXPECT_TRUE(sl.check_structure_unsafe());
   for (Key k = 0; k < 1600; ++k) ASSERT_TRUE(sl.contains(h, k)) << k;
@@ -95,11 +100,11 @@ TYPED_TEST(SkipListTest, SameKeyRaces) {
   for (int round = 0; round < rounds; ++round) {
     std::atomic<int> ins{0}, del{0};
     test::run_threads(4, [&](unsigned tid) {
-      if (sl.insert(smr.handle(tid), 33, tid)) ins.fetch_add(1);
+      if (sl.insert(*scoped_handle(smr), 33, tid)) ins.fetch_add(1);
     });
     EXPECT_EQ(ins.load(), 1) << "round " << round;
-    test::run_threads(4, [&](unsigned tid) {
-      if (sl.erase(smr.handle(tid), 33)) del.fetch_add(1);
+    test::run_threads(4, [&](unsigned) {
+      if (sl.erase(*scoped_handle(smr), 33)) del.fetch_add(1);
     });
     EXPECT_EQ(del.load(), 1) << "round " << round;
   }
@@ -109,7 +114,8 @@ template <class SL, class Smr>
 void churn_then_drain_sl(Smr& smr, unsigned threads, Key range, int iters) {
   SL sl(smr);
   test::run_threads(threads, [&](unsigned tid) {
-    auto& h = smr.handle(tid);
+    auto sh = scoped_handle(smr);
+    auto& h = *sh;
     Xoshiro256 rng(tid * 97 + 3);
     for (int i = 0; i < iters; ++i) {
       const Key k = rng.next_in(range);
@@ -128,7 +134,8 @@ void churn_then_drain_sl(Smr& smr, unsigned threads, Key range, int iters) {
     }
   });
   EXPECT_TRUE(sl.check_structure_unsafe());
-  auto& h = smr.handle(0);
+  auto sh = scoped_handle(smr);
+  auto& h = *sh;
   for (Key k = 0; k < range; ++k) {
     const bool was_present = sl.contains(h, k);
     const bool erased = sl.erase(h, k);
@@ -158,11 +165,12 @@ TYPED_TEST(SkipListTest, MidRangeChurnCoherence) {
 TYPED_TEST(SkipListTest, StableKeysSurviveChurn) {
   TypeParam smr(test::small_config(4));
   SkipList<Key, Val, TypeParam> sl(smr);
-  for (Key k = 0; k < 128; k += 2) ASSERT_TRUE(sl.insert(smr.handle(0), k, k));
+  for (Key k = 0; k < 128; k += 2) ASSERT_TRUE(sl.insert(*scoped_handle(smr), k, k));
   std::atomic<bool> stop{false};
   std::atomic<int> misses{0};
   test::run_threads(4, [&](unsigned tid) {
-    auto& h = smr.handle(tid);
+    auto sh = scoped_handle(smr);
+    auto& h = *sh;
     Xoshiro256 rng(tid);
     if (tid == 0) {
       const int iters = test::scaled_iters(30000);

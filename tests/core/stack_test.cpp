@@ -113,15 +113,18 @@ TEST(AnyStack, EverySchemeConcurrentConservation) {
   }
 }
 
-TEST(AnyStack, DeprecatedTidSurfaceStillWorks) {
+// Two sessions of one thread are two handles on one shared stack.
+TEST(AnyStack, TwoSessionsShareOneStack) {
   auto st = AnyStack::make(SchemeId::kHPopt, StructureId::kTreiberStack,
                            small_options(2));
   ASSERT_TRUE(st.has_value());
-  EXPECT_TRUE(st->push(0, 11));
-  EXPECT_TRUE(st->push(1, 22));
-  EXPECT_EQ(st->pop(0), 22u);
-  EXPECT_EQ(st->pop(1), 11u);
-  EXPECT_EQ(st->pop(0), std::nullopt);
+  auto s0 = st->session();
+  auto s1 = st->session();
+  EXPECT_TRUE(s0.push(11));
+  EXPECT_TRUE(s1.push(22));
+  EXPECT_EQ(s0.pop(), 22u);
+  EXPECT_EQ(s1.pop(), 11u);
+  EXPECT_EQ(s0.pop(), std::nullopt);
 }
 
 TEST(AnyStack, TeardownWithResidentElementsDoesNotLeak) {

@@ -23,12 +23,14 @@ TYPED_TEST(TreeConcurrentTest, DisjointInsertsAllPresent) {
   NatarajanMittalTree<Key, Val, TypeParam> tree(smr);
   constexpr Key kPerThread = 500;
   test::run_threads(4, [&](unsigned tid) {
-    auto& h = smr.handle(tid);
+    auto sh = scoped_handle(smr);
+    auto& h = *sh;
     for (Key i = 0; i < kPerThread; ++i) {
       ASSERT_TRUE(tree.insert(h, i * 4 + tid, tid));
     }
   });
-  auto& h = smr.handle(0);
+  auto sh = scoped_handle(smr);
+  auto& h = *sh;
   EXPECT_EQ(tree.size_unsafe(), 4 * kPerThread);
   EXPECT_TRUE(tree.check_structure_unsafe());
   for (Key k = 0; k < 4 * kPerThread; ++k) {
@@ -39,10 +41,12 @@ TYPED_TEST(TreeConcurrentTest, DisjointInsertsAllPresent) {
 TYPED_TEST(TreeConcurrentTest, DisjointErasesAllGone) {
   TypeParam smr(test::small_config(4));
   NatarajanMittalTree<Key, Val, TypeParam> tree(smr);
-  auto& h0 = smr.handle(0);
+  auto sh0 = scoped_handle(smr);
+  auto& h0 = *sh0;
   for (Key k = 0; k < 2000; ++k) ASSERT_TRUE(tree.insert(h0, k, k));
   test::run_threads(4, [&](unsigned tid) {
-    auto& h = smr.handle(tid);
+    auto sh = scoped_handle(smr);
+    auto& h = *sh;
     for (Key i = 0; i < 500; ++i) {
       ASSERT_TRUE(tree.erase(h, i * 4 + tid)) << i * 4 + tid;
     }
@@ -56,13 +60,13 @@ TYPED_TEST(TreeConcurrentTest, SameKeyEraseExactlyOneWins) {
   NatarajanMittalTree<Key, Val, TypeParam> tree(smr);
   const int rounds = test::scaled_iters(200);
   for (int round = 0; round < rounds; ++round) {
-    ASSERT_TRUE(tree.insert(smr.handle(0), 9, 9));
+    ASSERT_TRUE(tree.insert(*scoped_handle(smr), 9, 9));
     std::atomic<int> wins{0};
-    test::run_threads(4, [&](unsigned tid) {
-      if (tree.erase(smr.handle(tid), 9)) wins.fetch_add(1);
+    test::run_threads(4, [&](unsigned) {
+      if (tree.erase(*scoped_handle(smr), 9)) wins.fetch_add(1);
     });
     EXPECT_EQ(wins.load(), 1) << "round " << round;
-    EXPECT_FALSE(tree.contains(smr.handle(0), 9));
+    EXPECT_FALSE(tree.contains(*scoped_handle(smr), 9));
     EXPECT_TRUE(tree.check_structure_unsafe()) << "round " << round;
   }
 }
@@ -74,10 +78,10 @@ TYPED_TEST(TreeConcurrentTest, SameKeyInsertExactlyOneWins) {
   for (int round = 0; round < rounds; ++round) {
     std::atomic<int> wins{0};
     test::run_threads(4, [&](unsigned tid) {
-      if (tree.insert(smr.handle(tid), 9, tid)) wins.fetch_add(1);
+      if (tree.insert(*scoped_handle(smr), 9, tid)) wins.fetch_add(1);
     });
     EXPECT_EQ(wins.load(), 1) << "round " << round;
-    ASSERT_TRUE(tree.erase(smr.handle(0), 9));
+    ASSERT_TRUE(tree.erase(*scoped_handle(smr), 9));
   }
 }
 
@@ -88,12 +92,14 @@ TYPED_TEST(TreeConcurrentTest, SiblingDeletesRace) {
   NatarajanMittalTree<Key, Val, TypeParam> tree(smr);
   const int rounds = test::scaled_iters(500);
   for (int round = 0; round < rounds; ++round) {
-    auto& h0 = smr.handle(0);
+    auto sh0 = scoped_handle(smr);
+    auto& h0 = *sh0;
     ASSERT_TRUE(tree.insert(h0, 10, 0));
     ASSERT_TRUE(tree.insert(h0, 20, 0));
     std::atomic<int> wins{0};
     test::run_threads(2, [&](unsigned tid) {
-      auto& h = smr.handle(tid);
+      auto sh = scoped_handle(smr);
+      auto& h = *sh;
       if (tree.erase(h, tid == 0 ? 10 : 20)) wins.fetch_add(1);
     });
     EXPECT_EQ(wins.load(), 2) << "both deletes target distinct keys";
@@ -106,7 +112,8 @@ TYPED_TEST(TreeConcurrentTest, TinyRangeChurnCoherence) {
   TypeParam smr(test::small_config(8));
   NatarajanMittalTree<Key, Val, TypeParam> tree(smr);
   test::run_threads(8, [&](unsigned tid) {
-    auto& h = smr.handle(tid);
+    auto sh = scoped_handle(smr);
+    auto& h = *sh;
     Xoshiro256 rng(tid * 31 + 7);
     const int iters = test::scaled_iters(40000);
     for (int i = 0; i < iters; ++i) {
@@ -125,7 +132,8 @@ TYPED_TEST(TreeConcurrentTest, TinyRangeChurnCoherence) {
       }
     }
   });
-  auto& h = smr.handle(0);
+  auto sh = scoped_handle(smr);
+  auto& h = *sh;
   EXPECT_TRUE(tree.check_structure_unsafe());
   for (Key k = 0; k < 12; ++k) {
     { const bool was_present = tree.contains(h, k); const bool erased = tree.erase(h, k); EXPECT_EQ(was_present, erased) << "key " << k; }
@@ -137,11 +145,12 @@ TYPED_TEST(TreeConcurrentTest, StableKeysSurviveNeighbourChurn) {
   TypeParam smr(test::small_config(4));
   NatarajanMittalTree<Key, Val, TypeParam> tree(smr);
   for (Key k = 0; k < 64; k += 2)
-    ASSERT_TRUE(tree.insert(smr.handle(0), k, k));
+    ASSERT_TRUE(tree.insert(*scoped_handle(smr), k, k));
   std::atomic<bool> stop{false};
   std::atomic<int> misses{0};
   test::run_threads(4, [&](unsigned tid) {
-    auto& h = smr.handle(tid);
+    auto sh = scoped_handle(smr);
+    auto& h = *sh;
     Xoshiro256 rng(tid + 3);
     if (tid == 0) {
       const int iters = test::scaled_iters(40000);
@@ -168,7 +177,8 @@ TYPED_TEST(TreeConcurrentTest, MixedSizesRangeChurn) {
   TypeParam smr(test::small_config(4));
   NatarajanMittalTree<Key, Val, TypeParam> tree(smr);
   test::run_threads(4, [&](unsigned tid) {
-    auto& h = smr.handle(tid);
+    auto sh = scoped_handle(smr);
+    auto& h = *sh;
     Xoshiro256 rng(tid * 101 + 1);
     const int iters = test::scaled_iters(30000);
     for (int i = 0; i < iters; ++i) {
@@ -182,7 +192,8 @@ TYPED_TEST(TreeConcurrentTest, MixedSizesRangeChurn) {
   });
   EXPECT_TRUE(tree.check_structure_unsafe());
   // Drain and verify coherence.
-  auto& h = smr.handle(0);
+  auto sh = scoped_handle(smr);
+  auto& h = *sh;
   for (Key k = 0; k < 1024; ++k) {
     { const bool was_present = tree.contains(h, k); const bool erased = tree.erase(h, k); EXPECT_EQ(was_present, erased); }
   }

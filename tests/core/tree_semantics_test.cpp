@@ -21,7 +21,8 @@ TYPED_TEST_SUITE(TreeSemanticsTest, test::AllSchemes);
 TYPED_TEST(TreeSemanticsTest, EmptyTreeBehaviour) {
   TypeParam smr(test::small_config());
   NatarajanMittalTree<Key, Val, TypeParam> tree(smr);
-  auto& h = smr.handle(0);
+  auto sh = scoped_handle(smr);
+  auto& h = *sh;
   EXPECT_FALSE(tree.contains(h, 0));
   EXPECT_FALSE(tree.erase(h, 0));
   EXPECT_FALSE(tree.get(h, 5).has_value());
@@ -32,7 +33,8 @@ TYPED_TEST(TreeSemanticsTest, EmptyTreeBehaviour) {
 TYPED_TEST(TreeSemanticsTest, InsertFindEraseSingle) {
   TypeParam smr(test::small_config());
   NatarajanMittalTree<Key, Val, TypeParam> tree(smr);
-  auto& h = smr.handle(0);
+  auto sh = scoped_handle(smr);
+  auto& h = *sh;
   EXPECT_TRUE(tree.insert(h, 10, 100));
   EXPECT_TRUE(tree.contains(h, 10));
   EXPECT_EQ(tree.get(h, 10).value_or(0), 100u);
@@ -48,7 +50,8 @@ TYPED_TEST(TreeSemanticsTest, InsertFindEraseSingle) {
 TYPED_TEST(TreeSemanticsTest, ManyKeysAscending) {
   TypeParam smr(test::small_config());
   NatarajanMittalTree<Key, Val, TypeParam> tree(smr);
-  auto& h = smr.handle(0);
+  auto sh = scoped_handle(smr);
+  auto& h = *sh;
   for (Key k = 0; k < 300; ++k) ASSERT_TRUE(tree.insert(h, k, k * 2));
   EXPECT_EQ(tree.size_unsafe(), 300u);
   EXPECT_TRUE(tree.check_structure_unsafe());
@@ -62,7 +65,8 @@ TYPED_TEST(TreeSemanticsTest, ManyKeysAscending) {
 TYPED_TEST(TreeSemanticsTest, ManyKeysDescendingThenEraseAll) {
   TypeParam smr(test::small_config());
   NatarajanMittalTree<Key, Val, TypeParam> tree(smr);
-  auto& h = smr.handle(0);
+  auto sh = scoped_handle(smr);
+  auto& h = *sh;
   for (Key k = 300; k-- > 0;) ASSERT_TRUE(tree.insert(h, k, k));
   for (Key k = 0; k < 300; ++k) ASSERT_TRUE(tree.erase(h, k)) << k;
   EXPECT_EQ(tree.size_unsafe(), 0u);
@@ -75,7 +79,8 @@ TYPED_TEST(TreeSemanticsTest, ManyKeysDescendingThenEraseAll) {
 TYPED_TEST(TreeSemanticsTest, RandomInsertEraseMirrorsReferenceSet) {
   TypeParam smr(test::small_config());
   NatarajanMittalTree<Key, Val, TypeParam> tree(smr);
-  auto& h = smr.handle(0);
+  auto sh = scoped_handle(smr);
+  auto& h = *sh;
   std::set<Key> ref;
   Xoshiro256 rng(2026);
   for (int i = 0; i < 20000; ++i) {
@@ -96,7 +101,8 @@ TYPED_TEST(TreeSemanticsTest, RandomInsertEraseMirrorsReferenceSet) {
 TYPED_TEST(TreeSemanticsTest, BoundaryKeys) {
   TypeParam smr(test::small_config());
   NatarajanMittalTree<Key, Val, TypeParam> tree(smr);
-  auto& h = smr.handle(0);
+  auto sh = scoped_handle(smr);
+  auto& h = *sh;
   const Key hi = std::numeric_limits<Key>::max();
   EXPECT_TRUE(tree.insert(h, 0, 1));
   EXPECT_TRUE(tree.insert(h, hi, 2));
@@ -113,7 +119,8 @@ TYPED_TEST(TreeSemanticsTest, EraseLeftAndRightChildren) {
   // both sibling orientations explicitly.
   TypeParam smr(test::small_config());
   NatarajanMittalTree<Key, Val, TypeParam> tree(smr);
-  auto& h = smr.handle(0);
+  auto sh = scoped_handle(smr);
+  auto& h = *sh;
   ASSERT_TRUE(tree.insert(h, 50, 0));
   ASSERT_TRUE(tree.insert(h, 25, 0));  // left of 50
   ASSERT_TRUE(tree.insert(h, 75, 0));  // right of 50
@@ -130,7 +137,8 @@ TYPED_TEST(TreeSemanticsTest, EraseLeftAndRightChildren) {
 TYPED_TEST(TreeSemanticsTest, DeletionsRetireParentAndLeaf) {
   TypeParam smr(test::small_config());
   NatarajanMittalTree<Key, Val, TypeParam> tree(smr);
-  auto& h = smr.handle(0);
+  auto sh = scoped_handle(smr);
+  auto& h = *sh;
   ASSERT_TRUE(tree.insert(h, 1, 0));
   ASSERT_TRUE(tree.insert(h, 2, 0));
   const std::int64_t before = smr.pending_nodes();
@@ -142,7 +150,8 @@ TYPED_TEST(TreeSemanticsTest, DeletionsRetireParentAndLeaf) {
 TYPED_TEST(TreeSemanticsTest, CustomComparator) {
   TypeParam smr(test::small_config());
   NatarajanMittalTree<Key, Val, TypeParam, std::greater<Key>> tree(smr);
-  auto& h = smr.handle(0);
+  auto sh = scoped_handle(smr);
+  auto& h = *sh;
   for (Key k : {5ull, 1ull, 9ull, 3ull}) ASSERT_TRUE(tree.insert(h, k, k));
   EXPECT_FALSE(tree.insert(h, 9, 0));
   EXPECT_TRUE(tree.erase(h, 3));

@@ -115,7 +115,8 @@ struct EagerHelpTraits : HarrisListTraits {
 TYPED_TEST(WaitFreeListTest, SemanticsMatchLockFreeVariant) {
   TypeParam smr(test::small_config());
   HarrisList<Key, Val, TypeParam, HarrisListWaitFreeTraits> list(smr);
-  auto& h = smr.handle(0);
+  auto sh = scoped_handle(smr);
+  auto& h = *sh;
   for (Key k = 0; k < 50; ++k) ASSERT_TRUE(list.insert(h, k, k));
   for (Key k = 0; k < 50; ++k) EXPECT_TRUE(list.contains(h, k));
   for (Key k = 0; k < 50; k += 2) ASSERT_TRUE(list.erase(h, k));
@@ -127,11 +128,12 @@ TYPED_TEST(WaitFreeListTest, SearchStaysCorrectUnderPruningChurn) {
   HarrisList<Key, Val, TypeParam, EagerHelpTraits> list(smr);
   // Stable keys readers assert on; volatile keys the writers churn.
   for (Key k = 0; k < 128; k += 2)
-    ASSERT_TRUE(list.insert(smr.handle(0), k, k));
+    ASSERT_TRUE(list.insert(*scoped_handle(smr), k, k));
   std::atomic<bool> stop{false};
   std::atomic<int> errors{0};
   test::run_threads(4, [&](unsigned tid) {
-    auto& h = smr.handle(tid);
+    auto sh = scoped_handle(smr);
+    auto& h = *sh;
     Xoshiro256 rng(tid + 17);
     if (tid < 2) {  // writers: churn odd keys, keep even keys untouched
       for (int i = 0; i < 30000; ++i) {
@@ -160,8 +162,10 @@ TYPED_TEST(WaitFreeListTest, HelpersResolveARequestedSearch) {
   // eventually publish the answer even though the requester never traverses.
   TypeParam smr(test::small_config(2));
   HarrisList<Key, Val, TypeParam, EagerHelpTraits> list(smr);
-  auto& requester = smr.handle(0);
-  auto& writer = smr.handle(1);
+  auto requester_sh = scoped_handle(smr);
+  auto& requester = *requester_sh;
+  auto writer_sh = scoped_handle(smr);
+  auto& writer = *writer_sh;
   ASSERT_TRUE(list.insert(writer, 77, 1));
   // Reach inside: post the help request exactly like the slow path does.
   auto& reg = list.debug_wf_registry();

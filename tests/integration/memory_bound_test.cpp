@@ -33,7 +33,8 @@ std::int64_t churn_pending(unsigned threads, int iters, Key range) {
     DS ds(smr);
     std::atomic<std::int64_t> observed_peak{0};
     test::run_threads(threads, [&](unsigned tid) {
-      auto& h = smr.handle(tid);
+      auto sh = scoped_handle(smr);
+      auto& h = *sh;
       Xoshiro256 rng(tid + 29);
       for (int i = 0; i < iters; ++i) {
         const Key k = rng.next_in(range);
@@ -112,17 +113,20 @@ TEST(MemoryBound, StalledTraverserDoesNotUnboundHpMemory) {
   cfg.scan_threshold = 64;
   HpDomain smr(cfg);
   HarrisList<Key, Val, HpDomain> list(smr);
-  auto& h0 = smr.handle(0);
+  auto sh0 = scoped_handle(smr);
+  auto& h0 = *sh0;
   for (Key k = 0; k < 32; ++k) ASSERT_TRUE(list.insert(h0, k, k));
-  // Simulate the stalled traverser: protections held, op never ends.
-  auto& stalled = smr.handle(2);
+  // Simulate the stalled traverser: protections held, op never ends.  An
+  // explicit join(): the handle stays claimed across the whole churn.
+  auto& stalled = smr.join();
   stalled.begin_op();
   std::atomic<marked_ptr<ListNode<Key, Val>>>* fake = nullptr;
   (void)fake;
   // (Holding live protections is exercised via the SMR-layer robustness
   // tests; here the stalled thread simply keeps its op open.)
   test::run_threads(2, [&](unsigned tid) {
-    auto& h = smr.handle(tid);
+    auto sh = scoped_handle(smr);
+    auto& h = *sh;
     Xoshiro256 rng(tid);
     const int iters = test::scaled_iters(40000);
     for (int i = 0; i < iters; ++i) {
@@ -137,6 +141,7 @@ TEST(MemoryBound, StalledTraverserDoesNotUnboundHpMemory) {
   EXPECT_LT(smr.pending_nodes(), 1024)
       << "HP must stay bounded with a stalled participant";
   stalled.end_op();
+  smr.leave(stalled);
 }
 
 TEST(MemoryBound, PendingDrainsToNearZeroAtQuiescence) {
@@ -146,7 +151,8 @@ TEST(MemoryBound, PendingDrainsToNearZeroAtQuiescence) {
   {
     HarrisList<Key, Val, HpDomain> list(smr);
     test::run_threads(4, [&](unsigned tid) {
-      auto& h = smr.handle(tid);
+      auto sh = scoped_handle(smr);
+      auto& h = *sh;
       Xoshiro256 rng(tid);
       const int iters = test::scaled_iters(20000);
       for (int i = 0; i < iters; ++i) {
@@ -158,8 +164,12 @@ TEST(MemoryBound, PendingDrainsToNearZeroAtQuiescence) {
         }
       }
     });
-    // Force residual limbo lists through scans.
-    for (unsigned t = 0; t < 4; ++t) smr.handle(t).scan();
+    // The workers scanned on leave() and orphaned what other workers still
+    // protected; adopt that residue into one handle and force it through a
+    // scan now that everyone is quiescent.
+    auto sh = scoped_handle(smr);
+    sh->bg_collect();
+    sh->scan();
     EXPECT_LT(smr.pending_nodes(), 4 * 16 + 64);
   }
 }

@@ -33,7 +33,8 @@ void sweep_body(const SweepParam& p, int iters) {
   Smr smr(test::small_config(p.threads));
   DS ds(smr);
   test::run_threads(p.threads, [&](unsigned tid) {
-    auto& h = smr.handle(tid);
+    auto sh = scoped_handle(smr);
+    auto& h = *sh;
     Xoshiro256 rng(tid * 1299709 + p.range);
     for (int i = 0; i < iters; ++i) {
       const Key k = rng.next_in(p.range);
@@ -47,7 +48,8 @@ void sweep_body(const SweepParam& p, int iters) {
       }
     }
   });
-  auto& h = smr.handle(0);
+  auto sh = scoped_handle(smr);
+  auto& h = *sh;
   for (Key k = 0; k < p.range; ++k) {
     { const bool was_present = ds.contains(h, k); const bool erased = ds.erase(h, k); ASSERT_EQ(was_present, erased) << "key " << k; }
   }
@@ -85,7 +87,8 @@ void tree_sweep_body(const SweepParam& p, int iters) {
   Smr smr(test::small_config(p.threads));
   NatarajanMittalTree<Key, Val, Smr> tree(smr);
   test::run_threads(p.threads, [&](unsigned tid) {
-    auto& h = smr.handle(tid);
+    auto sh = scoped_handle(smr);
+    auto& h = *sh;
     Xoshiro256 rng(tid * 31 + 11);
     for (int i = 0; i < iters; ++i) {
       const Key k = rng.next_in(p.range);
@@ -100,7 +103,8 @@ void tree_sweep_body(const SweepParam& p, int iters) {
     }
   });
   ASSERT_TRUE(tree.check_structure_unsafe());
-  auto& h = smr.handle(0);
+  auto sh = scoped_handle(smr);
+  auto& h = *sh;
   for (Key k = 0; k < p.range; ++k) {
     { const bool was_present = tree.contains(h, k); const bool erased = tree.erase(h, k); ASSERT_EQ(was_present, erased) << "key " << k; }
   }

@@ -10,7 +10,7 @@
 //    node would additionally be reported by ASan/LSan at domain teardown);
 //  * the thread-local re-join fast path keeps a single-thread join/leave
 //    loop on one record;
-//  * the deprecated tid shim and dynamic sessions compose on one domain.
+//  * explicitly joined handles and dynamic sessions compose on one domain.
 //
 // The AnyMap section drives the same lifecycle through the type-erased
 // Session surface with (scaled) thousands of short-lived threads per scheme.
@@ -92,16 +92,15 @@ TYPED_TEST(HandleChurnTest, RejoinFastPathReusesRecord) {
   EXPECT_EQ(dom.active_handles(), 0u);
 }
 
-// The deprecated tid shim pins records; sessions opened alongside it get
-// fresh ones and the two surfaces never hand out the same handle at the
-// same time.
-TYPED_TEST(HandleChurnTest, ShimAndSessionsCompose) {
+// Explicitly joined handles stay claimed until their leave(); sessions
+// opened alongside them get fresh records, and the two never hand out the
+// same handle at the same time.
+TYPED_TEST(HandleChurnTest, JoinedHandlesAndSessionsCompose) {
   using Smr = TypeParam;
   Smr dom(small_config(4));
-  auto& pinned0 = dom.handle(0);
-  auto& pinned1 = dom.handle(1);
+  auto& pinned0 = dom.join();
+  auto& pinned1 = dom.join();
   EXPECT_NE(&pinned0, &pinned1);
-  EXPECT_EQ(&dom.handle(0), &pinned0);  // idempotent
   EXPECT_EQ(dom.active_handles(), 2u);
 
   {
@@ -111,7 +110,9 @@ TYPED_TEST(HandleChurnTest, ShimAndSessionsCompose) {
     EXPECT_EQ(dom.active_handles(), 3u);
   }
   EXPECT_EQ(dom.active_handles(), 2u);
-  EXPECT_THROW(dom.handle(4), std::out_of_range);  // fixed-capacity surface
+  dom.leave(pinned1);
+  dom.leave(pinned0);
+  EXPECT_EQ(dom.active_handles(), 0u);
 }
 
 // Donation is observable: a reader protecting a node keeps the departing

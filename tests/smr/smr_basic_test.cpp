@@ -93,11 +93,11 @@ TYPED_TEST(SmrBasicTest, BeginEndOpAreReentrantAcrossOperations) {
   }
 }
 
-TYPED_TEST(SmrBasicTest, HandlesAreDistinctPerTid) {
+TYPED_TEST(SmrBasicTest, HandlesAreDistinctPerJoin) {
   TypeParam smr(test::small_config(4));
-  EXPECT_NE(&smr.handle(0), &smr.handle(1));
-  EXPECT_EQ(smr.handle(2).tid(), 2u);
-  EXPECT_THROW(smr.handle(4), std::out_of_range);
+  auto a = scoped_handle(smr);
+  auto b = scoped_handle(smr);
+  EXPECT_NE(&*a, &*b);
 }
 
 TYPED_TEST(SmrBasicTest, TrackStatsOffSilencesGauge) {

@@ -100,7 +100,8 @@ TEST(HpEdge, SlotsClearAfterOp) {
 TEST(HpEdge, ProtectTracksSourceChanges) {
   // The validation loop must re-publish when the source field moves.
   HpDomain smr(test::small_config(2));
-  auto& h = smr.handle(0);
+  auto sh = scoped_handle(smr);
+  auto& h = *sh;
   auto* a = h.template alloc<TestNode>(std::uint64_t{1});
   auto* b = h.template alloc<TestNode>(std::uint64_t{2});
   std::atomic<ReclaimNode*> src{a};
@@ -108,8 +109,11 @@ TEST(HpEdge, ProtectTracksSourceChanges) {
   EXPECT_EQ(h.protect(src, 0), a);
   src.store(b);
   EXPECT_EQ(h.protect(src, 1), b);
-  // Slot 1 must hold b, not a.
-  EXPECT_EQ(smr.slot(0, 1).load(), static_cast<ReclaimNode*>(b));
+  // Slot 1 must hold b, not a: the only live handle publishes exactly
+  // {a (slot 0), b (slot 1)}.
+  std::vector<ReclaimNode*> hazards;
+  smr.collect_hazards(hazards);
+  EXPECT_EQ(hazards, (std::vector<ReclaimNode*>{a, b}));
   h.end_op();
   h.dealloc_unpublished(a);
   h.dealloc_unpublished(b);
