@@ -9,9 +9,9 @@
 // Each worker opens one store.session() (joining every shard's SMR domain
 // once) and then routes by key hash: top 16 bits pick the shard, the rest
 // pick the bucket.  The stores start deliberately tiny so the run crosses
-// several incremental-resize rounds — retired bucket chains flow through
-// the same per-shard reclamation domains as erased entries, which is the
-// point of the subsystem.
+// several doublings: each shard is one split-ordered list, so growing moves
+// no entry, and each new bucket's sentinel is linked into the list the
+// first time a key hashes to it (migrated_buckets counts those links).
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -71,11 +71,14 @@ int main(int argc, char** argv) {
   std::printf("entries=%zu buckets=%zu (started at %u x %zu)\n",
               store->size_unsafe(), store->bucket_count(), shards,
               options.initial_buckets_per_shard);
-  std::printf("migrated_buckets=%llu pending_migration=%llu "
-              "pending_nodes=%lld\n",
+  std::printf("migrated_buckets=%llu pending_nodes=%lld\n",
               static_cast<unsigned long long>(store->migrated_buckets()),
-              static_cast<unsigned long long>(store->pending_migration()),
               static_cast<long long>(store->pending_nodes()));
+  // SCOT traversal telemetry (paper Table 2): full restarts and §3.2.1
+  // recoveries of the shards' list searches.
+  std::printf("restarts=%llu recoveries=%llu\n",
+              static_cast<unsigned long long>(store->restarts()),
+              static_cast<unsigned long long>(store->recoveries()));
 
   auto session = store->session();
   const auto hit = session.get("user1");  // 1 % 7 != 0, still present

@@ -70,7 +70,7 @@ std::string cell_key(const ReportCell& cell) {
     std::snprintf(theta, sizeof(theta), "%.3f", cell.cfg.zipf_theta);
     key += theta;
   }
-  // Appended only when off, so cells from reports that predate the knob
+  // Added only when off, so cells from reports that predate the knob
   // (asym defaults to on) keep their identity against new default runs.
   if (!cell.cfg.asymmetric_fences) key += "|noasym";
   // Inverse convention for background reclamation: it defaults to off, so

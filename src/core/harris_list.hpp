@@ -1,23 +1,11 @@
 // Harris' lock-free linked list (Harris, DISC 2001) with **SCOT** — Safe
 // Concurrent Optimistic Traversals (the paper's core contribution, §3.2).
 //
-// Harris' list lets traversals walk *through* chains of logically deleted
-// nodes and remove a whole chain with one CAS.  That optimistic traversal is
-// incompatible with HP/HE/IBR/Hyaline-1S: a traverser standing inside a
-// marked chain follows frozen next-pointers whose targets may already be
-// retired and reclaimed (Figure 2 of the paper).  SCOT's fix:
-//
-//   * Hp2 protects the *last safe* (unmarked) node, Hp3 protects the *first
-//     unsafe* (marked) node of the chain ("dangerous zone").
-//   * After protecting each next node inside the zone, the traverser
-//     validates that the last safe node still points at the first unsafe
-//     node.  Chains are only ever unlinked whole-prefix via the last safe
-//     node's link (the mark bit lives in the predecessor's next field), so
-//     a successful validation proves the chain was still linked — hence not
-//     yet retired — when the protection was published.
-//   * On validation failure the operation restarts, or, with the §3.2.1
-//     *recovery optimization*, hops to the last safe node's new successor
-//     when that node is itself still unmarked.
+// The traversal itself — Do_Find of Figure 5 with the dangerous-zone
+// validation and the §3.2.1 recovery — lives in core/scot_find.hpp, shared
+// with the serving layer's split-ordered hash map.  This class supplies the
+// list around it: the head link, the +inf tail sentinel, key comparison,
+// Insert/Delete (Figure 3) and the §3.4 wait-free Search.
 //
 // Traits select the paper's variants:
 //   kUnrolled  — Figure 5 right (2 dups in the safe zone, 1 in the zone)
@@ -40,15 +28,14 @@
 #include "common/align.hpp"
 #include "core/list_common.hpp"
 #include "core/marked_ptr.hpp"
+#include "core/scot_find.hpp"
 #include "core/wait_free.hpp"
 #include "smr/handle_registry.hpp"
 #include "smr/smr.hpp"
 
 namespace scot {
 
-struct HarrisListTraits {
-  static constexpr bool kUnrolled = true;
-  static constexpr bool kRecovery = true;
+struct HarrisListTraits : ScotFindTraits {
   static constexpr bool kWaitFree = false;
   static constexpr int kFastPathRestarts = 4;  // M, before Request_Help
 };
@@ -76,21 +63,10 @@ class HarrisList {
   using Link = StableAtomic<MP>;
   using Handle = typename Smr::Handle;
   using Guard = TraversalGuard<Handle>;
-  using NodeSlot = ProtectionSlot<Handle, Node>;
 
-  static constexpr unsigned kSlotsRequired = 4;
-
-  // The traversal's protection roles.  Construction order is the slot
-  // index order, so every dup_from below copies toward a higher index
-  // (paper §3.2; asserted by ProtectionSlot).
-  struct Hp {
-    NodeSlot next, curr, prev, unsafe;
-    explicit Hp(Guard& g)
-        : next(g.template slot<Node>()),
-          curr(g.template slot<Node>()),
-          prev(g.template slot<Node>()),
-          unsafe(g.template slot<Node>()) {}
-  };
+  // The traversal's protection roles (core/scot_find.hpp).
+  using Hp = ScotHp<Handle, Node>;
+  static constexpr unsigned kSlotsRequired = Hp::kSlots;
 
   explicit HarrisList(Smr& smr, Compare cmp = {}) : smr_(smr), cmp_(cmp) {
     auto h = scoped_handle(smr_);
@@ -123,7 +99,7 @@ class HarrisList {
     for (;;) {
       if constexpr (Traits::kWaitFree) help_others(guard, hp);
       Position pos;
-      do_find(guard, hp, key, /*search_only=*/false, pos, DefaultControl{});
+      do_find(guard, hp, key, /*search_only=*/false, pos, UnboundedControl{});
       if (pos.found) {
         h.dealloc_unpublished(n);
         return false;
@@ -145,7 +121,7 @@ class HarrisList {
     for (;;) {
       if constexpr (Traits::kWaitFree) help_others(guard, hp);
       Position pos;
-      do_find(guard, hp, key, /*search_only=*/false, pos, DefaultControl{});
+      do_find(guard, hp, key, /*search_only=*/false, pos, UnboundedControl{});
       if (!pos.found) return false;
       MP next = pos.next;
       assert(!next.marked());
@@ -181,7 +157,7 @@ class HarrisList {
       return slow_search(guard, hp, key, tag, h.tid());
     } else {
       Position pos;
-      do_find(guard, hp, key, /*search_only=*/true, pos, DefaultControl{});
+      do_find(guard, hp, key, /*search_only=*/true, pos, UnboundedControl{});
       return pos.found;
     }
   }
@@ -192,7 +168,7 @@ class HarrisList {
     Guard guard(h);
     Hp hp(guard);
     Position pos;
-    do_find(guard, hp, key, /*search_only=*/true, pos, DefaultControl{});
+    do_find(guard, hp, key, /*search_only=*/true, pos, UnboundedControl{});
     if (!pos.found) return std::nullopt;
     return pos.curr->value;  // protected by hp.curr
   }
@@ -207,7 +183,7 @@ class HarrisList {
     Hp hp(guard);
     for (;;) {
       Position pos;
-      do_find(guard, hp, key, /*search_only=*/true, pos, DefaultControl{});
+      do_find(guard, hp, key, /*search_only=*/true, pos, UnboundedControl{});
       if (!pos.found) return false;
       MP next = pos.next;
       if (pos.curr->next.compare_exchange_strong(next, next.with_mark(),
@@ -249,25 +225,9 @@ class HarrisList {
   }
 
  private:
-  struct Position {
-    Link* prev;
-    Node* curr;
-    MP next;
-    bool found;
-  };
+  using Position = ScotPosition<Node>;
 
-  enum class FindOutcome : std::uint8_t {
-    kOk,            // position settled
-    kAborted,       // fast-path budget exhausted
-    kExternalTrue,  // slow path: another participant published "found"
-    kExternalFalse  // slow path: another participant published "not found"
-  };
-
-  // --- traversal control policies ---------------------------------------
-  struct DefaultControl {
-    bool on_restart() const { return true; }
-    WfPoll poll() const { return WfPoll::kContinue; }
-  };
+  // --- traversal control policies (UnboundedControl is the default) ------
   struct BoundedControl {
     int budget;
     bool on_restart() { return --budget > 0; }
@@ -281,157 +241,14 @@ class HarrisList {
     WfPoll poll() const { return reg->poll_status(help_tid, tag); }
   };
 
-  // SCOT-augmented Do_Find (Figure 5).  Returns the settled position for the
-  // caller, unlinking the marked chain adjacent to it when
-  // `!search_only` (Figure 3, L43-44 semantics).
+  // SCOT Do_Find (Figure 5) from the list head.
   template <class Control>
   FindOutcome do_find(Guard& g, Hp& hp, const Key& key, bool search_only,
                       Position& out, Control control) {
-    Handle& h = g.handle();
-    // All locals hoisted so that `goto restart` stays well-formed.
-    Link* prev;
-    MP prev_next;  // expected value of *prev while inside a dangerous zone
-    Node* curr;
-    MP next;
-    MP tmp;
-    bool in_zone;
-
-    goto init;
-
-  restart:
-    h.count_restart();
-    if (!control.on_restart()) return FindOutcome::kAborted;
-
-  init:
-    g.revalidate();
-    switch (control.poll()) {
-      case WfPoll::kContinue:
-        break;
-      case WfPoll::kStale:
-      case WfPoll::kDoneFalse:
-        return FindOutcome::kExternalFalse;
-      case WfPoll::kDoneTrue:
-        return FindOutcome::kExternalTrue;
-    }
-    prev = &head_;
-    prev_next = MP{};
-    in_zone = false;
-    tmp = hp.curr.protect(head_);
-    if (!g.valid()) goto restart;
-    curr = tmp.ptr();  // tail sentinel at minimum; never null
-    next = hp.next.protect(curr->next);
-    if (!g.valid()) goto restart;
-
-    for (;;) {
-      switch (control.poll()) {
-        case WfPoll::kContinue:
-          break;
-        case WfPoll::kStale:
-        case WfPoll::kDoneFalse:
-          return FindOutcome::kExternalFalse;
-        case WfPoll::kDoneTrue:
-          return FindOutcome::kExternalTrue;
-      }
-
-      if (next.marked()) {
-        // --- dangerous zone (curr is logically deleted) ------------------
-        if (!in_zone) {
-          in_zone = true;
-          if constexpr (Traits::kUnrolled) {
-            // Figure 5 right, L48-49: protect the first unsafe node.
-            hp.unsafe.dup_from(hp.curr);
-            prev_next = MP(curr);
-          } else {
-            // Figure 5 left: hp.unsafe/prev_next normally already track
-            // curr via the last safe advance; the one exception is a chain
-            // starting at the very first node (prev == &head_, nothing
-            // advanced yet).
-            if (!prev_next) {
-              hp.unsafe.dup_from(hp.curr);
-              prev_next = MP(curr);
-            }
-          }
-          assert(prev_next == MP(curr));
-        }
-        curr = next.ptr();
-        assert(curr != nullptr);  // the tail sentinel is never marked
-        hp.curr.dup_from(hp.next);
-        next = hp.next.protect(curr->next);
-        if (!g.valid()) goto restart;
-        // SCOT validation (Figure 5, L55): the last safe node must still
-        // point at the first unsafe node, otherwise the chain may have been
-        // unlinked and (partially) reclaimed.
-        if (prev->load(std::memory_order_seq_cst) != prev_next) {
-          if constexpr (Traits::kRecovery) {
-            // §3.2.1: if the last safe node is itself still unmarked, the
-            // zone was resolved (unlinked or replaced) — continue from its
-            // new successor instead of restarting from the head.
-            MP w = prev->load(std::memory_order_seq_cst);
-            if (!w.marked()) {
-              h.count_recovery();
-              tmp = hp.curr.protect(*prev);
-              if (!g.valid()) goto restart;
-              if (tmp.marked()) goto restart;  // prev got marked meanwhile
-              curr = tmp.ptr();
-              assert(curr != nullptr);
-              next = hp.next.protect(curr->next);
-              if (!g.valid()) goto restart;
-              prev_next = MP{};
-              in_zone = false;
-              continue;
-            }
-          }
-          goto restart;
-        }
-        continue;
-      }
-
-      // --- safe zone (curr is live) --------------------------------------
-      if (!node_less_than_key(curr, key, cmp_)) break;
-      prev = &curr->next;
-      hp.prev.dup_from(hp.curr);
-      if constexpr (Traits::kUnrolled) {
-        prev_next = MP{};
-      } else {
-        // Simple variant: continuously mirror next into hp.unsafe so that
-        // zone entry needs no extra work (Figure 5 left, L11-14).
-        hp.unsafe.dup_from(hp.next);
-        prev_next = next;
-      }
-      in_zone = false;
-      curr = next.ptr();
-      assert(curr != nullptr);  // tail sentinel terminates every traversal
-      hp.curr.dup_from(hp.next);
-      next = hp.next.protect(curr->next);
-      if (!g.valid()) goto restart;
-    }
-
-    // Settled: curr is the first live node with key >= target.
-    if (!search_only && in_zone && prev_next != MP(curr)) {
-      // Remove the whole marked chain with one CAS (Figure 5, L57-59).
-      MP expected = prev_next;
-      if (!prev->compare_exchange_strong(expected, MP(curr),
-                                         std::memory_order_seq_cst,
-                                         std::memory_order_relaxed)) {
-        goto restart;
-      }
-      retire_chain(h, prev_next.ptr(), curr);
-    }
-    out.prev = prev;
-    out.curr = curr;
-    out.next = next;
-    out.found = node_equals_key(curr, key, cmp_);
-    return FindOutcome::kOk;
-  }
-
-  // Retires every node of an unlinked chain [from, to) — Figure 5,
-  // Do_Retire.
-  void retire_chain(Handle& h, Node* from, Node* to) {
-    while (from != to) {
-      Node* next = from->next.load(std::memory_order_relaxed).ptr();
-      h.retire(from);
-      from = next;
-    }
+    const auto cmp = [&](const Node* n) {
+      return node_compare_key(n, key, cmp_);
+    };
+    return scot_find<Traits>(g, hp, head_, cmp, search_only, out, control);
   }
 
   // --- wait-free traversal machinery (§3.4) ------------------------------

@@ -5,9 +5,9 @@
 // examples a realistic key-value workload on top of the SCOT list.  The
 // bucket count is fixed at construction, faithful to the paper's setup.
 // For a growable table use the serving layer's KvHashMap
-// (src/kv/kv_hash_map.hpp): lock-free incremental resize — CAS-installed
-// directory doubling with cooperative per-bucket migration, old buckets
-// retired through the same SMR domain — per the contract in DESIGN.md §10.
+// (src/kv/kv_hash_map.hpp): one split-ordered list on the same SCOT
+// traversal, where doubling the bucket count moves no node and new bucket
+// sentinels are linked lazily (DESIGN.md §10).
 #pragma once
 
 #include <cstddef>

@@ -43,4 +43,13 @@ inline bool node_equals_key(const Node* n, const Key& key,
   return n->rank == 0 && !cmp(n->key, key) && !cmp(key, n->key);
 }
 
+// Three-way form (node vs. key) for the shared SCOT traversal.
+template <class Node, class Key, class Compare>
+inline int node_compare_key(const Node* n, const Key& key,
+                            const Compare& cmp) {
+  if (n->rank != 0) return 1;
+  if (cmp(n->key, key)) return -1;
+  return cmp(key, n->key) ? 1 : 0;
+}
+
 }  // namespace scot

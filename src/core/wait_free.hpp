@@ -96,7 +96,7 @@ class WfHelpRegistry {
     Record& r = record(tid);
     if (--r.next_check != 0) return false;
     r.next_check = kDelay;
-    // Round-robin over the records published so far.  A record appended
+    // Round-robin over the records published so far.  A record pushed
     // after this load is simply picked up on a later lap; wait-freedom only
     // needs every *requester* to be polled eventually, and a requester's
     // record exists before its request_help() returns.

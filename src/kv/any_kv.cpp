@@ -58,9 +58,6 @@ class TypedAnyKv final : public detail::AnyKvImpl {
   std::uint64_t migrated_buckets() const override {
     return map_.migrated_buckets();
   }
-  std::uint64_t pending_migration() const override {
-    return map_.pending_migration();
-  }
 
  private:
   // Declaration order is destruction order in reverse: the map's teardown

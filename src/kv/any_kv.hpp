@@ -54,10 +54,10 @@ class AnyKvImpl {
   virtual std::uint64_t recoveries() const = 0;
   virtual unsigned active_handles() const = 0;
   virtual obs::StatsSnapshot stats() const = 0;
-  // Resize observability (kv_store_test and bench_kv assert on these).
+  // Growth observability (kv_store_test, bench_kv and the benchmark read
+  // these): current bucket count, bucket sentinels linked so far.
   virtual std::size_t bucket_count() const = 0;
   virtual std::uint64_t migrated_buckets() const = 0;
-  virtual std::uint64_t pending_migration() const = 0;
 };
 
 }  // namespace detail
@@ -139,7 +139,7 @@ class AnyKv {
   }
 
   // --- observers -----------------------------------------------------------
-  // Quiesces in-flight bucket migrations, then iterates (tests only).
+  // Walks the shard's list; callers must be quiescent (tests only).
   std::size_t size_unsafe() { return impl_->size_unsafe(); }
   std::int64_t pending_nodes() const { return impl_->pending_nodes(); }
   std::uint64_t restarts() const { return impl_->restarts(); }
@@ -148,9 +148,6 @@ class AnyKv {
   obs::StatsSnapshot stats() const { return impl_->stats(); }
   std::size_t bucket_count() const { return impl_->bucket_count(); }
   std::uint64_t migrated_buckets() const { return impl_->migrated_buckets(); }
-  std::uint64_t pending_migration() const {
-    return impl_->pending_migration();
-  }
 
   SchemeId scheme() const { return scheme_; }
   StructureId structure() const { return structure_; }

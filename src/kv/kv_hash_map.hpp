@@ -1,78 +1,42 @@
-// KvHashMap: a string-keyed, lock-free hash map with incremental resize —
-// the shard type behind scot::KvStore (DESIGN.md §10).
+// KvHashMap: a string-keyed, lock-free, growable hash map — the shard type
+// behind scot::KvStore (DESIGN.md §10).
 //
-// Layout.  One AtomicChunkedArray<BucketSlot> holds every bucket directory
-// generation ever published: generation g occupies the flat index range
-// [N0*(2^g - 1), N0*(2^(g+1) - 1)) where N0 is the initial bucket count, so
-// doubling never moves or frees a live BucketSlot.  Chunks are CAS-installed
-// and immortal for the map's lifetime, which is why readers can never
-// observe a torn directory: a published generation index always dereferences
-// to fully constructed slots (the install CAS releases the value-initialised
-// chunk; operator[] acquires it).
+// The whole map is one sorted list: a split-ordered list (Shalev & Shavit,
+// "Split-Ordered Lists: Lock-Free Extensible Hash Tables", JACM 2006) run by
+// the paper's SCOT Harris traversal — the same scot_find() (core/
+// scot_find.hpp) that HarrisList uses, with its dangerous-zone validation
+// and §3.2.1 recovery.  The map supplies only where a search starts and how
+// a node compares against the target.
 //
-// Chains are Michael-style sorted lists (by hash, then key bytes) of pooled
-// KvNode cells with the key inline after the struct.  The value lives in a
-// separate KvBlob cell reached through the node's `val` link; upsert is a
-// CAS swap of that link (replaced blobs retire through SMR), and erase
-// linearizes by exchanging `val` to tagged-null before the usual
-// mark-then-unlink of the node.  Both cells come from the domain's NodePool
-// via alloc_extra(), so values up to ~4KB recycle through the same
-// per-thread shards as list nodes.
+// Order.  Every node carries a split-order key: the bit-reversed hash with
+// the low bit set for data nodes, the bit-reversed bucket index (low bit
+// clear) for bucket sentinels.  The list is sorted by (split-order key, key
+// bytes), so for every bucket count 2^k at once, bucket b's sentinel
+// directly precedes the data nodes whose low k hash bits equal b.  Nodes
+// never move: doubling the bucket count is one CAS on count_, and a new
+// bucket's sentinel is linked lazily, after its parent's sentinel (b with
+// its top bit cleared), the first time an operation hashes to it.
 //
-// Incremental resize (freeze -> copy -> DONE -> seal -> sever -> retire):
-//   * One doubling round in flight at a time (`pending_` counts old-gen
-//     buckets not yet DONE; the winner of pending_ 0->N re-validates gen_
-//     under the claim — a claimant that slept across complete rounds
-//     between its gen_ load and the CAS win must not publish over a later
-//     generation, so a stale claim is simply undone — then extends the
-//     directory, seeds every child head with kPendBit, and publishes
-//     gen_+1.  gen_ only ever moves g -> g+1 by CAS, so it is monotone).
-//   * Every operation routes by the current generation; while a round is in
-//     flight it first checks the *parent* bucket (same low index bits, one
-//     generation down) and, if that parent is not DONE, migrates it to
-//     completion before operating.  Writers that find pending_ != 0 also
-//     help migrate a couple of buckets past a rotating cursor, so rounds
-//     drain under write load instead of relying on lucky access patterns.
-//   * freeze tags (kTagBit) the bucket head and every next/val link in
-//     chain order.  A tagged link fails every mutation CAS (insert, mark,
-//     unlink, upsert, erase all expect untagged words), so the chain is
-//     immutable once the freezer's walk completes; any op that runs into a
-//     tag restarts from the generation load.
-//   * copy walks the frozen chain under hazard protection and inserts a
-//     fresh copy of every live pair (val not tagged-null) into the child
-//     buckets of the next generation.  Normal operations never touch a
-//     child chain before the parent is DONE, so a half-copied child is
-//     never observable.  While the round is in flight EVERY word of a
-//     child chain — the seeded head, each node's next, the terminal null —
-//     carries kPendBit; insert_copy installs pend-tagged words and bails
-//     out the moment it reads a word without the bit.
-//   * The DONE CAS winner first SEALS both child chains (clears kPendBit
-//     from every link; clients that race the seal help by clearing any
-//     pend word they meet), then severs every parent link (head, next,
-//     val) to tagged-null, and only then retires the old nodes and blobs
-//     through the shard's SMR domain — the unlink-before-retire order that
-//     hazard-style validation needs.  Readers still standing on the frozen
-//     chain hold hazard/era protection, so reclamation waits for them.  A
-//     frozen-live value is returned only while the bucket is not yet DONE
-//     (checked after the protect; past that point the child chain may hold
-//     newer values), and a tagged-null val is reported absent only when the
-//     node's next link is untagged — sever tags it, an erase at most marks
-//     it — because a severed pair may be live in the child.  Both checks
-//     re-route the op through the current generation otherwise.  The
-//     pending_ decrement happens after the seal, so a later round's freeze
-//     never observes a pend word.
-//   * A helper can sleep at any point and wake after its round — or several
-//     later rounds — completed, so every helper loop has an escape hatch:
-//     the freeze and copy walks are hazard-protected and re-check the
-//     bucket's DONE flag, and insert_copy requires kPendBit on every word
-//     it traverses and on its commit CAS's expected value.  That closes
-//     the insert-then-delete ABA: post-round client mutations only ever
-//     install pend-free words (the seal strips the bit, erase/unlink
-//     install clean() words, inserts install clean words), so a stale
-//     helper's pend-expected commit can only succeed while the round is
-//     still in flight — it can neither spin against a severed chain nor
-//     resurrect a key that a live eraser removed after the round
-//     (DESIGN.md §10 gives the full argument).
+// Directory.  Bucket sentinels live inline in a segment table — segment s
+// holds buckets [2^(s-1), 2^s), segment 0 holds bucket 0 — allocated on
+// first use and immortal for the map's lifetime.  Traversals walk past other
+// buckets' sentinels, so those land in protection slots like any node: each
+// sentinel sits right behind a 16-byte AllocHeader with birth era 0, which
+// is what the era schemes' protect() reads.  Sentinels are never marked,
+// unlinked or retired.  One thread claims an unlinked bucket by CAS and
+// links its sentinel; until that lands, operations on the bucket start from
+// the nearest linked ancestor's sentinel, which precedes the same keys, so
+// nobody waits.
+//
+// Values.  A data node holds its key inline after the struct and its value
+// in a separate KvBlob cell reached through `val`; both come from the
+// domain's NodePool via alloc_extra(), so values up to ~4KB recycle through
+// the same per-thread shards as list nodes.  Upsert is a CAS swap of `val`
+// (the replaced blob retires through SMR).  Erase linearizes at the
+// exchange of `val` to marked-null, which also claims custody of the blob;
+// only then is `next` marked, so the SCOT chain removal retires bare nodes,
+// never a blob.  A put that finds a marked-null value helps mark the node
+// and retries.
 #pragma once
 
 #include <algorithm>
@@ -84,13 +48,11 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <thread>
-#include <vector>
 
 #include "common/align.hpp"
-#include "common/chunked_list.hpp"
 #include "common/stable_atomic.hpp"
 #include "core/marked_ptr.hpp"
+#include "core/scot_find.hpp"
 #include "smr/handle_registry.hpp"
 #include "smr/smr.hpp"
 
@@ -127,20 +89,20 @@ struct KvBlob : ReclaimNode {
   }
 };
 
-// Chain node: immutable identity (hash + inline key) plus two mutable
-// links.  `next` carries kMarkBit for Michael's logical deletion; both
-// links carry kTagBit while the chain is frozen for migration and are
-// stored as tagged-null once the bucket has been severed.
+// List node.  A data node has an odd split-order key, its key bytes inline
+// after the struct and its value behind `val`; a bucket sentinel has an
+// even split-order key, no key bytes and a null `val`.  `next` carries
+// kMarkBit for Harris' logical deletion.
 struct KvNode : ReclaimNode {
   using BlobMP = marked_ptr<KvBlob>;
 
-  std::uint64_t hash;
+  std::uint64_t so_key;
   std::uint32_t klen;
   StableAtomic<marked_ptr<KvNode>> next;
   StableAtomic<BlobMP> val;
 
-  KvNode(std::uint64_t h, std::uint32_t kl, KvBlob* blob) noexcept
-      : hash(h), klen(kl) {
+  KvNode(std::uint64_t so, std::uint32_t kl, KvBlob* blob) noexcept
+      : so_key(so), klen(kl) {
     next.store(marked_ptr<KvNode>{}, std::memory_order_relaxed);
     val.store(BlobMP(blob), std::memory_order_relaxed);
   }
@@ -151,12 +113,19 @@ struct KvNode : ReclaimNode {
   }
 };
 
-// Total order of chain positions: by hash, then key bytes.
-inline int kv_compare(std::uint64_t hash, std::string_view key,
-                      const KvNode* n) noexcept {
-  if (hash != n->hash) return hash < n->hash ? -1 : 1;
-  const int c = key.compare(n->key());
-  return c < 0 ? -1 : (c > 0 ? 1 : 0);
+inline std::uint64_t reverse_bits(std::uint64_t x) noexcept {
+  x = ((x >> 1) & 0x5555555555555555ULL) | ((x & 0x5555555555555555ULL) << 1);
+  x = ((x >> 2) & 0x3333333333333333ULL) | ((x & 0x3333333333333333ULL) << 2);
+  x = ((x >> 4) & 0x0f0f0f0f0f0f0f0fULL) | ((x & 0x0f0f0f0f0f0f0f0fULL) << 4);
+  return __builtin_bswap64(x);
+}
+
+// Split-order keys: data nodes odd, bucket sentinels even.
+inline std::uint64_t so_data_key(std::uint64_t hash) noexcept {
+  return reverse_bits(hash) | 1;
+}
+inline std::uint64_t so_bucket_key(std::size_t bucket) noexcept {
+  return reverse_bits(bucket);
 }
 
 enum class KvPut {
@@ -173,12 +142,15 @@ class KvHashMap {
   using MP = marked_ptr<KvNode>;
   using BlobMP = marked_ptr<KvBlob>;
   using Link = StableAtomic<MP>;
-  using NodeSlot = ProtectionSlot<Handle, KvNode>;
-  using BlobSlot = ProtectionSlot<Handle, KvBlob>;
 
-  // find (next/curr/prev) + blob, then the child-chain roles used only by
-  // migration (cnext/ccurr/cprev).  Fits the default slots_per_thread = 8.
-  static constexpr unsigned kSlotsRequired = 7;
+  // The SCOT traversal's four roles, then the value blob.  Fits the default
+  // slots_per_thread = 8.
+  struct Hp : ScotHp<Handle, KvNode> {
+    ProtectionSlot<Handle, KvBlob> blob;
+    explicit Hp(Guard& g)
+        : ScotHp<Handle, KvNode>(g), blob(g.template slot<KvBlob>()) {}
+  };
+  static constexpr unsigned kSlotsRequired = Hp::kSlots + 1;
 
   struct Options {
     std::size_t initial_buckets = 16;            // rounded up to a power of 2
@@ -194,35 +166,36 @@ class KvHashMap {
   }
 
   explicit KvHashMap(Smr& smr, Options opt = {}) : smr_(smr) {
-    initial_ = std::bit_ceil(std::max<std::size_t>(opt.initial_buckets, 1));
-    max_buckets_ = std::max(std::bit_ceil(
-                                std::max<std::size_t>(opt.max_buckets, 1)),
-                            initial_);
+    const std::size_t initial =
+        std::bit_ceil(std::max<std::size_t>(opt.initial_buckets, 1));
+    max_buckets_ = std::max(
+        std::bit_ceil(std::max<std::size_t>(opt.max_buckets, 1)), initial);
     max_load_factor_ = std::max(1u, opt.max_load_factor);
-    buckets_.ensure(gen_base(0) + gen_count(0) - 1);
+    count_.store(initial, std::memory_order_relaxed);
+    assert(header_of(&tail_.sentinel) == &tail_.hdr);
+    tail_.sentinel.so_key = ~std::uint64_t{0};
+    Bucket& b0 = bucket(0);
+    b0.sentinel.next.store(MP(&tail_.sentinel), std::memory_order_relaxed);
+    b0.state.store(kLinked, std::memory_order_release);
   }
 
   ~KvHashMap() {
-    // Single-threaded teardown.  Walk every generation ever published:
-    // severed buckets hold tagged-null heads and are skipped (their copies
-    // live one generation up; their old cells were retired through SMR);
-    // live or frozen-but-not-copied chains still own their cells and any
-    // attached blobs.
+    // Single-threaded teardown: data nodes still in the list own their
+    // cells and live blobs (a marked node's blob went to its eraser).
+    // Sentinels belong to the segments.
     auto sh = scoped_handle(smr_);
     auto& h = sh.get();
-    const std::uint32_t gmax = gen_.load(std::memory_order_relaxed);
-    for (std::uint32_t g = 0; g <= gmax; ++g) {
-      for (std::size_t j = 0; j < gen_count(g); ++j) {
-        KvNode* n = slot_at(g, j).head.load(std::memory_order_relaxed).ptr();
-        while (n != nullptr) {
-          KvNode* next = n->next.load(std::memory_order_relaxed).ptr();
-          KvBlob* blob = n->val.load(std::memory_order_relaxed).ptr();
-          if (blob != nullptr) h.dealloc_unpublished(blob);
-          h.dealloc_unpublished(n);
-          n = next;
-        }
+    KvNode* n = bucket(0).sentinel.next.load(std::memory_order_relaxed).ptr();
+    while (n != &tail_.sentinel) {
+      KvNode* next = n->next.load(std::memory_order_relaxed).ptr();
+      if (is_data(n)) {
+        KvBlob* blob = n->val.load(std::memory_order_relaxed).ptr();
+        if (blob != nullptr) h.dealloc_unpublished(blob);
+        h.dealloc_unpublished(n);
       }
+      n = next;
     }
+    for (auto& s : segments_) delete[] s.load(std::memory_order_relaxed);
   }
 
   KvHashMap(const KvHashMap&) = delete;
@@ -232,40 +205,104 @@ class KvHashMap {
     if (key.size() > max_key_bytes() || value.size() > max_value_bytes())
       return KvPut::kRejected;
     const std::uint64_t hash = kv_hash(key);
+    const std::uint64_t so = so_data_key(hash);
+    const auto cmp = [&](const KvNode* n) { return compare(n, so, key); };
+    Guard g(h);
+    Hp hp(g);
+    Link& start = start_link(g, hp, hash);
+    KvBlob* nb = make_blob(h, value);
+    KvNode* n = nullptr;
     for (;;) {
-      const std::uint32_t g = route(h, hash);
-      const PutOutcome r =
-          try_put(h, slot_at(g, bucket_index(g, hash)), hash, key, value);
-      if (r == PutOutcome::kMigrate) continue;
-      if (r == PutOutcome::kUpdated) return KvPut::kUpdated;
-      size_.fetch_add(1, std::memory_order_relaxed);
-      maybe_resize(h);
-      return KvPut::kInserted;
+      Position pos{};
+      scot_find(g, hp, start, cmp, /*search_only=*/false, pos);
+      if (pos.found) {
+        const BlobMP bv = pos.curr->val.load(std::memory_order_seq_cst);
+        if (bv.ptr() == nullptr) {
+          mark(pos.curr);  // erased but not yet marked: finish, re-find
+          continue;
+        }
+        BlobMP expected = bv;
+        if (pos.curr->val.compare_exchange_strong(expected, BlobMP(nb),
+                                                  std::memory_order_seq_cst,
+                                                  std::memory_order_relaxed)) {
+          h.retire(bv.ptr());  // the replaced blob is ours to retire
+          if (n != nullptr) h.dealloc_unpublished(n);
+          return KvPut::kUpdated;
+        }
+        continue;  // lost the val race (update/erase); re-find
+      }
+      if (n == nullptr) n = make_node(h, so, key, nb);
+      n->next.store(MP(pos.curr), std::memory_order_relaxed);
+      MP expected(pos.curr);
+      if (pos.prev->compare_exchange_strong(expected, MP(n),
+                                            std::memory_order_seq_cst,
+                                            std::memory_order_relaxed)) {
+        size_.fetch_add(1, std::memory_order_relaxed);
+        maybe_grow();
+        return KvPut::kInserted;
+      }
     }
   }
 
   bool erase(Handle& h, std::string_view key) {
     const std::uint64_t hash = kv_hash(key);
+    const std::uint64_t so = so_data_key(hash);
+    const auto cmp = [&](const KvNode* n) { return compare(n, so, key); };
+    Guard g(h);
+    Hp hp(g);
+    Link& start = start_link(g, hp, hash);
     for (;;) {
-      const std::uint32_t g = route(h, hash);
-      const OpOutcome r =
-          try_erase(h, slot_at(g, bucket_index(g, hash)), hash, key);
-      if (r == OpOutcome::kMigrate) continue;
-      if (r == OpOutcome::kTrue) {
-        size_.fetch_sub(1, std::memory_order_relaxed);
-        return true;
+      Position pos{};
+      scot_find(g, hp, start, cmp, /*search_only=*/false, pos);
+      if (!pos.found) return false;
+      const BlobMP bv = pos.curr->val.load(std::memory_order_seq_cst);
+      if (bv.ptr() == nullptr) return false;  // lost to a concurrent erase
+      // The exchange to marked-null is the linearization point of the delete
+      // (readers treat a null value as absent) and claims blob custody.
+      BlobMP expected = bv;
+      if (!pos.curr->val.compare_exchange_strong(
+              expected, BlobMP(nullptr, kMarkBit), std::memory_order_seq_cst,
+              std::memory_order_relaxed)) {
+        continue;  // val changed under us; re-find
       }
-      return false;
+      // One unlink attempt (Figure 3, L22); the unlink winner — here or a
+      // later traversal's chain removal — retires the node.
+      const MP next = mark(pos.curr);
+      MP link(pos.curr);
+      if (pos.prev->compare_exchange_strong(link, next.clean(),
+                                            std::memory_order_seq_cst,
+                                            std::memory_order_relaxed)) {
+        h.retire(pos.curr);
+      }
+      h.retire(bv.ptr());
+      size_.fetch_sub(1, std::memory_order_relaxed);
+      return true;
     }
   }
 
   bool get(Handle& h, std::string_view key, std::string* out) {
     const std::uint64_t hash = kv_hash(key);
+    const std::uint64_t so = so_data_key(hash);
+    const auto cmp = [&](const KvNode* n) { return compare(n, so, key); };
+    Guard g(h);
+    Hp hp(g);
+    Link& start = start_link(g, hp, hash);
     for (;;) {
-      const std::uint32_t g = route(h, hash);
-      const OpOutcome r =
-          try_get(h, slot_at(g, bucket_index(g, hash)), hash, key, out);
-      if (r != OpOutcome::kMigrate) return r == OpOutcome::kTrue;
+      Position pos{};
+      scot_find(g, hp, start, cmp, /*search_only=*/true, pos);
+      if (!pos.found) return false;
+      // protect() republishes until the val word is stable, and every blob
+      // retirement is preceded by a CAS that moves val off the blob (update
+      // or erase) — the publish-then-validate argument, applied to the
+      // value link.
+      const Protected<KvBlob> pb = hp.blob.protect(pos.curr->val);
+      if (!g.valid()) {
+        h.count_restart();
+        continue;
+      }
+      if (pb.get() == nullptr) return false;  // erased
+      if (out != nullptr) out->assign(pb->view());
+      return true;
     }
   }
 
@@ -277,154 +314,72 @@ class KvHashMap {
 
   bool contains(Handle& h, std::string_view key) {
     const std::uint64_t hash = kv_hash(key);
-    for (;;) {
-      const std::uint32_t g = route(h, hash);
-      const OpOutcome r =
-          try_contains(h, slot_at(g, bucket_index(g, hash)), hash, key);
-      if (r != OpOutcome::kMigrate) return r == OpOutcome::kTrue;
-    }
+    const std::uint64_t so = so_data_key(hash);
+    const auto cmp = [&](const KvNode* n) { return compare(n, so, key); };
+    Guard g(h);
+    Hp hp(g);
+    Position pos{};
+    scot_find(g, hp, start_link(g, hp, hash), cmp, /*search_only=*/true, pos);
+    return pos.found &&
+           pos.curr->val.load(std::memory_order_seq_cst).ptr() != nullptr;
   }
 
-  // Runs every bucket of an in-flight round to completion.  Quiesces the
-  // resize state (pending_migration() == 0 afterwards when no concurrent
-  // writer starts a new round).
-  void drain_migrations(Handle& h) {
-    for (;;) {
-      const std::uint64_t p = pending_.load(std::memory_order_acquire);
-      if (p == 0) return;
-      const std::uint32_t g = gen_.load(std::memory_order_acquire);
-      // pending_ == gen_count(g) with gen_ still g is exactly the
-      // claimed-but-unpublished window of round g -> g+1 (a published
-      // round's count starts at gen_count(g-1) and only shrinks; the
-      // re-read pins g to the value gen_ had when pending_ was sampled).
-      // There is nothing to migrate yet: help finish the publish if the
-      // winner has seeded the child directory, otherwise yield to it
-      // instead of hot-spinning over already-DONE buckets.
-      if (p == gen_count(g) && gen_.load(std::memory_order_acquire) == g) {
-        if (!try_help_publish(g)) std::this_thread::yield();
-        continue;
-      }
-      if (g == 0) return;
-      for (std::size_t j = 0; j < gen_count(g - 1); ++j) {
-        if (slot_at(g - 1, j).done.load(std::memory_order_acquire) == 0)
-          migrate_bucket(h, g - 1, j);
-      }
-    }
-  }
-
-  // Quiescent observers (tests / teardown / reporting).
+  // Quiescent observer (tests / teardown / reporting): live pairs in the
+  // list.
   std::size_t size_unsafe() {
-    auto sh = scoped_handle(smr_);
-    drain_migrations(sh.get());
-    const std::uint32_t g = gen_.load(std::memory_order_acquire);
     std::size_t n = 0;
-    for (std::size_t j = 0; j < gen_count(g); ++j) {
-      const KvNode* c =
-          slot_at(g, j).head.load(std::memory_order_acquire).ptr();
-      while (c != nullptr) {
-        if (c->val.load(std::memory_order_acquire).ptr() != nullptr) ++n;
-        c = c->next.load(std::memory_order_acquire).ptr();
-      }
+    for (const KvNode* c =
+             bucket(0).sentinel.next.load(std::memory_order_acquire).ptr();
+         c != &tail_.sentinel;
+         c = c->next.load(std::memory_order_acquire).ptr()) {
+      if (is_data(c) && !c->next.load(std::memory_order_acquire).marked() &&
+          c->val.load(std::memory_order_acquire).ptr() != nullptr)
+        ++n;
     }
     return n;
   }
 
-  std::size_t size_approx() const {
-    const std::int64_t s = size_.load(std::memory_order_relaxed);
-    return s > 0 ? static_cast<std::size_t>(s) : 0;
-  }
   std::size_t bucket_count() const {
-    return gen_count(gen_.load(std::memory_order_acquire));
+    return count_.load(std::memory_order_acquire);
   }
-  std::uint32_t generation() const {
-    return gen_.load(std::memory_order_acquire);
-  }
-  std::uint64_t pending_migration() const {
-    return pending_.load(std::memory_order_acquire);
-  }
+  // Bucket sentinels linked since construction (bucket 0's, linked by the
+  // constructor, not counted).
   std::uint64_t migrated_buckets() const {
-    return migrated_.load(std::memory_order_relaxed);
+    return linked_.load(std::memory_order_relaxed);
   }
 
  private:
-  struct BucketSlot {
-    // Explicit initializers, not value-init: StableAtomic's default
-    // constructor deliberately writes nothing (pool-recycled links must not
-    // clobber concurrent stores), so `new BucketSlot[n]()` alone would
-    // leave garbage heads.  The chunk-install CAS releases these stores.
-    Link head{MP{}};
-    // 0 while this bucket's chain is authoritative for its generation;
-    // 1 once its content has been fully copied one generation up.
-    std::atomic<std::uint32_t> done{0};
+  using Position = ScotPosition<KvNode>;
+
+  enum : std::uint32_t { kUnlinked, kClaimed, kLinked };
+
+  // One directory slot: an immortal sentinel behind its allocation header.
+  struct alignas(32) Bucket {
+    AllocHeader hdr{};  // birth era 0: protect() reads it like a pool cell's
+    KvNode sentinel{0, 0, nullptr};
+    std::atomic<std::uint32_t> state{kUnlinked};
   };
 
-  enum class FindStatus { kFound, kAbsent, kMigrate };
-  enum class PutOutcome { kInserted, kUpdated, kMigrate };
-  enum class OpOutcome { kTrue, kFalse, kMigrate };
+  static bool is_data(const KvNode* n) noexcept { return (n->so_key & 1) != 0; }
 
-  struct Position {
-    Link* prev;
-    KvNode* curr;
-    MP next;
-    FindStatus status;
-  };
-
-  // Slot roles in ascending-dup order; blob sits above the list roles so
-  // get() can dup nothing and protect the value last.
-  struct Hp {
-    NodeSlot next, curr, prev;
-    BlobSlot blob;
-    explicit Hp(Guard& g)
-        : next(g.template slot<KvNode>()),
-          curr(g.template slot<KvNode>()),
-          prev(g.template slot<KvNode>()),
-          blob(g.template slot<KvBlob>()) {}
-  };
-  // Child-chain roles for the migration copy pass (indices 4..6).
-  struct ChildHp {
-    NodeSlot next, curr, prev;
-    explicit ChildHp(Guard& g)
-        : next(g.template slot<KvNode>()),
-          curr(g.template slot<KvNode>()),
-          prev(g.template slot<KvNode>()) {}
-  };
-  // Freeze-walk roles (the freezer opens its own guard; indices 0..1).
-  struct FreezeHp {
-    NodeSlot next, curr;
-    explicit FreezeHp(Guard& g)
-        : next(g.template slot<KvNode>()),
-          curr(g.template slot<KvNode>()) {}
-  };
-
-  // --- directory geometry -------------------------------------------------
-  std::size_t gen_count(std::uint32_t g) const { return initial_ << g; }
-  std::size_t gen_base(std::uint32_t g) const {
-    return initial_ * ((std::size_t{1} << g) - 1);
-  }
-  BucketSlot& slot_at(std::uint32_t g, std::size_t j) {
-    return buckets_[gen_base(g) + j];
-  }
-  std::size_t bucket_index(std::uint32_t g, std::uint64_t hash) const {
-    return static_cast<std::size_t>(hash) & (gen_count(g) - 1);
+  // Node vs. target (split-order key, key bytes), three-way.  Only the tail
+  // shares the largest data key, and it sorts after every target.
+  int compare(const KvNode* n, std::uint64_t so, std::string_view key) const {
+    if (n->so_key != so) return n->so_key < so ? -1 : 1;
+    if (n == &tail_.sentinel) return 1;
+    const int c = n->key().compare(key);
+    return c < 0 ? -1 : (c > 0 ? 1 : 0);
   }
 
-  // Loads the current generation and, while a round is in flight, brings
-  // this key's parent bucket to DONE so the caller may operate on the
-  // current-generation chain.  The pending_ == 0 fast path costs one
-  // acquire load per operation.
-  std::uint32_t route(Handle& h, std::uint64_t hash) {
-    const std::uint32_t g = gen_.load(std::memory_order_acquire);
-    if (g == 0 || pending_.load(std::memory_order_acquire) == 0) return g;
-    const std::size_t p =
-        static_cast<std::size_t>(hash) & (gen_count(g - 1) - 1);
-    if (slot_at(g - 1, p).done.load(std::memory_order_acquire) == 0)
-      migrate_bucket(h, g - 1, p);
-    return g;
-  }
-
-  void restart(Guard& g) {
-    g.handle().count_restart();
-    g.revalidate();
+  // Marks n's next link (logical deletion); returns the marked word.
+  static MP mark(KvNode* n) {
+    MP next = n->next.load(std::memory_order_seq_cst);
+    while (!next.marked() &&
+           !n->next.compare_exchange_strong(next, next.with_mark(),
+                                            std::memory_order_seq_cst,
+                                            std::memory_order_seq_cst)) {
+    }
+    return next.with_mark();
   }
 
   // --- allocation helpers -------------------------------------------------
@@ -434,694 +389,102 @@ class KvHashMap {
     if (!value.empty()) std::memcpy(b->bytes(), value.data(), value.size());
     return b;
   }
-  KvNode* make_node(Handle& h, std::uint64_t hash, std::string_view key,
+  KvNode* make_node(Handle& h, std::uint64_t so, std::string_view key,
                     KvBlob* blob) {
     KvNode* n = h.template alloc_extra<KvNode>(
-        key.size(), hash, static_cast<std::uint32_t>(key.size()), blob);
+        key.size(), so, static_cast<std::uint32_t>(key.size()), blob);
     if (!key.empty()) std::memcpy(n->key_bytes(), key.data(), key.size());
     return n;
   }
 
-  // --- chain traversal ----------------------------------------------------
-  // Michael's Find over one bucket chain, with one extra exit: any tagged
-  // word means the chain is frozen (or severed) for migration, and the
-  // operation must re-route through the current generation.
-  Position find(Guard& g, Hp& hp, Link& head, std::uint64_t hash,
-                std::string_view key) {
-    Handle& h = g.handle();
-    for (;;) {
-      Link* prev = &head;
-      MP curr_m = hp.curr.protect(head);
-      if (!g.valid()) {
-        restart(g);
-        continue;
-      }
-      if (curr_m.tagged()) return {nullptr, nullptr, MP{}, FindStatus::kMigrate};
-      if (curr_m.pended()) {
-        // This bucket just became authoritative and its DONE winner is
-        // still sealing: help clear the construction bit and re-walk.
-        head.compare_exchange_strong(curr_m, curr_m.without_pend(),
-                                     std::memory_order_seq_cst,
-                                     std::memory_order_relaxed);
-        restart(g);
-        continue;
-      }
-      KvNode* curr = curr_m.ptr();
-      bool retry = false;
-      while (curr != nullptr) {
-        MP next = hp.next.protect(curr->next);
-        if (!g.valid()) {
-          retry = true;
-          break;
-        }
-        const MP pv = prev->load(std::memory_order_seq_cst);
-        if (pv == MP(curr).with_pend()) {
-          MP e = pv;
-          prev->compare_exchange_strong(e, MP(curr),
-                                        std::memory_order_seq_cst,
-                                        std::memory_order_relaxed);
-          retry = true;
-          break;
-        }
-        if (pv != MP(curr)) {
-          if (pv.tagged())
-            return {nullptr, nullptr, MP{}, FindStatus::kMigrate};
-          retry = true;
-          break;
-        }
-        if (next.pended()) {
-          MP e = next;
-          curr->next.compare_exchange_strong(e, next.without_pend(),
-                                             std::memory_order_seq_cst,
-                                             std::memory_order_relaxed);
-          retry = true;
-          break;
-        }
-        if (next.tagged()) return {nullptr, nullptr, MP{}, FindStatus::kMigrate};
-        if (next.marked()) {
-          // Eager unlink of the logically deleted curr; the unlink winner
-          // owns the node's retirement (its blob was already claimed by
-          // the eraser's val exchange).
-          MP expected(curr);
-          if (!prev->compare_exchange_strong(expected, next.clean(),
-                                             std::memory_order_seq_cst,
-                                             std::memory_order_relaxed)) {
-            if (expected.tagged())
-              return {nullptr, nullptr, MP{}, FindStatus::kMigrate};
-            retry = true;
-            break;
-          }
-          h.retire(curr);
-          curr = next.ptr();
-          hp.curr.dup_from(hp.next);
-          continue;
-        }
-        const int c = kv_compare(hash, key, curr);
-        if (c <= 0) {
-          return {prev, curr, next,
-                  c == 0 ? FindStatus::kFound : FindStatus::kAbsent};
-        }
-        prev = &curr->next;
-        hp.prev.dup_from(hp.curr);
-        curr = next.ptr();
-        hp.curr.dup_from(hp.next);
-      }
-      if (!retry) return {prev, nullptr, MP{}, FindStatus::kAbsent};
-      restart(g);
-    }
+  // --- bucket directory ---------------------------------------------------
+  Bucket& bucket(std::size_t b) {
+    const unsigned s = static_cast<unsigned>(std::bit_width(b));
+    Bucket* seg = segments_[s].load(std::memory_order_acquire);
+    if (seg == nullptr) seg = install_segment(s);
+    return seg[b - (std::size_t{1} << s >> 1)];
   }
 
-  // Finishes a half-completed erase whose val link is already tagged-null:
-  // marks the node and makes one unlink attempt.  The unlink winner (here
-  // or a later find() cleanup) retires the node.
-  void help_erase(Handle& h, const Position& pos) {
-    MP next = pos.curr->next.load(std::memory_order_seq_cst);
-    while (!next.marked() && !next.tagged()) {
-      if (pos.curr->next.compare_exchange_strong(next, next.with_mark(),
-                                                 std::memory_order_seq_cst,
-                                                 std::memory_order_relaxed)) {
-        next = next.with_mark();
-        break;
-      }
-    }
-    if (!next.marked() || next.tagged()) return;  // frozen: migrator's job
-    MP expected(pos.curr);
-    if (pos.prev->compare_exchange_strong(expected, next.clean(),
-                                          std::memory_order_seq_cst,
-                                          std::memory_order_relaxed)) {
-      h.retire(pos.curr);
-    }
+  // Allocates segment s with its sentinels initialised and installs it by
+  // CAS; the loser frees its copy.
+  Bucket* install_segment(unsigned s) {
+    const std::size_t first = std::size_t{1} << s >> 1;
+    const std::size_t n = std::max<std::size_t>(first, 1);
+    Bucket* fresh = new Bucket[n];
+    for (std::size_t i = 0; i < n; ++i)
+      fresh[i].sentinel.so_key = so_bucket_key(first + i);
+    Bucket* expected = nullptr;
+    if (segments_[s].compare_exchange_strong(expected, fresh,
+                                             std::memory_order_acq_rel,
+                                             std::memory_order_acquire))
+      return fresh;
+    delete[] fresh;
+    return expected;
   }
 
-  PutOutcome try_put(Handle& h, BucketSlot& b, std::uint64_t hash,
-                     std::string_view key, std::string_view value) {
-    Guard g(h);
-    Hp hp(g);
-    KvNode* n = nullptr;
-    KvBlob* nb = nullptr;
-    const auto discard = [&] {
-      if (n != nullptr) h.dealloc_unpublished(n);
-      if (nb != nullptr) h.dealloc_unpublished(nb);
-    };
+  // The link a search for `hash` starts from: its bucket's sentinel once
+  // linked, else the nearest linked ancestor's (see link_bucket).
+  Link& start_link(Guard& g, Hp& hp, std::uint64_t hash) {
+    // count_ publishes nothing: with a stale count the search starts from
+    // an ancestor's sentinel, which precedes the same keys.
+    const std::size_t mask = count_.load(std::memory_order_relaxed) - 1;
+    const std::size_t b = static_cast<std::size_t>(hash) & mask;
+    Bucket& bk = bucket(b);
+    if (bk.state.load(std::memory_order_acquire) == kLinked)
+      return bk.sentinel.next;
+    return link_bucket(g, hp, b, bk);
+  }
+
+  // Slow path of start_link for an unlinked bucket b != 0: claims it and
+  // links its sentinel after its parent's (b with its top bit cleared,
+  // linked first if needed).  When another thread holds the claim, returns
+  // the parent's start link instead of waiting.
+  Link& link_bucket(Guard& g, Hp& hp, std::size_t b, Bucket& bk) {
+    const std::size_t p = b & ~std::bit_floor(b);
+    Bucket& pk = bucket(p);
+    Link& parent = pk.state.load(std::memory_order_acquire) == kLinked
+                       ? pk.sentinel.next
+                       : link_bucket(g, hp, p, pk);
+    std::uint32_t expected = kUnlinked;
+    if (!bk.state.compare_exchange_strong(expected, kClaimed,
+                                          std::memory_order_acq_rel,
+                                          std::memory_order_relaxed))
+      return parent;
+    KvNode* s = &bk.sentinel;
+    const auto cmp = [&](const KvNode* n) { return compare(n, s->so_key, {}); };
     for (;;) {
-      Position pos = find(g, hp, b.head, hash, key);
-      if (pos.status == FindStatus::kMigrate) {
-        discard();
-        return PutOutcome::kMigrate;
-      }
-      if (pos.status == FindStatus::kFound) {
-        const BlobMP bv = pos.curr->val.load(std::memory_order_seq_cst);
-        if (bv.tagged()) {
-          if (bv.ptr() != nullptr) {  // frozen live value
-            discard();
-            return PutOutcome::kMigrate;
-          }
-          help_erase(h, pos);  // tagged-null: a delete is in flight
-          continue;            // then race to reinsert
-        }
-        if (nb == nullptr) nb = make_blob(h, value);
-        BlobMP expected = bv;
-        if (pos.curr->val.compare_exchange_strong(expected, BlobMP(nb),
-                                                  std::memory_order_seq_cst,
-                                                  std::memory_order_relaxed)) {
-          nb = nullptr;        // published
-          h.retire(bv.ptr());  // the replaced blob is ours to retire
-          if (n != nullptr) h.dealloc_unpublished(n);
-          return PutOutcome::kUpdated;
-        }
-        continue;  // lost the val race (update/erase/freeze); re-find
-      }
-      // Absent: link a fresh node before pos.curr.
-      if (nb == nullptr) nb = make_blob(h, value);
-      if (n == nullptr) {
-        n = make_node(h, hash, key, nb);
-      } else {
-        n->val.store(BlobMP(nb), std::memory_order_relaxed);
-      }
-      n->next.store(MP(pos.curr), std::memory_order_relaxed);
-      MP expected(pos.curr);
-      if (pos.prev->compare_exchange_strong(expected, MP(n),
+      Position pos{};
+      scot_find(g, hp, parent, cmp, /*search_only=*/false, pos);
+      assert(!pos.found);
+      s->next.store(MP(pos.curr), std::memory_order_relaxed);
+      MP link(pos.curr);
+      if (pos.prev->compare_exchange_strong(link, MP(s),
                                             std::memory_order_seq_cst,
-                                            std::memory_order_relaxed)) {
-        return PutOutcome::kInserted;
-      }
-      if (expected.tagged()) {
-        discard();
-        return PutOutcome::kMigrate;
-      }
+                                            std::memory_order_relaxed))
+        break;
     }
+    bk.state.store(kLinked, std::memory_order_release);
+    linked_.fetch_add(1, std::memory_order_relaxed);
+    return s->next;
   }
 
-  OpOutcome try_erase(Handle& h, BucketSlot& b, std::uint64_t hash,
-                      std::string_view key) {
-    Guard g(h);
-    Hp hp(g);
-    for (;;) {
-      Position pos = find(g, hp, b.head, hash, key);
-      if (pos.status == FindStatus::kMigrate) return OpOutcome::kMigrate;
-      if (pos.status == FindStatus::kAbsent) return OpOutcome::kFalse;
-      const BlobMP bv = pos.curr->val.load(std::memory_order_seq_cst);
-      if (bv.tagged()) {
-        if (bv.ptr() != nullptr) return OpOutcome::kMigrate;  // frozen
-        help_erase(h, pos);
-        // Tagged-null is either a concurrent erase or a migration sever;
-        // only the sever also tags the next link.  A severed pair may be
-        // live in the child bucket, so the op must re-route.
-        if (pos.curr->next.load(std::memory_order_seq_cst).tagged())
-          return OpOutcome::kMigrate;
-        return OpOutcome::kFalse;  // lost to a concurrent erase
-      }
-      // The exchange to tagged-null is the linearization point of the
-      // delete (readers treat tagged-null as absent) and claims blob
-      // custody for this eraser.
-      BlobMP expected = bv;
-      if (!pos.curr->val.compare_exchange_strong(expected,
-                                                 BlobMP(nullptr, kTagBit),
-                                                 std::memory_order_seq_cst,
-                                                 std::memory_order_relaxed)) {
-        continue;  // val changed under us; re-find
-      }
-      help_erase(h, pos);
-      h.retire(bv.ptr());
-      return OpOutcome::kTrue;
-    }
-  }
-
-  OpOutcome try_get(Handle& h, BucketSlot& b, std::uint64_t hash,
-                    std::string_view key, std::string* out) {
-    Guard g(h);
-    Hp hp(g);
-    for (;;) {
-      Position pos = find(g, hp, b.head, hash, key);
-      if (pos.status == FindStatus::kMigrate) return OpOutcome::kMigrate;
-      if (pos.status == FindStatus::kAbsent) return OpOutcome::kFalse;
-      // protect() republishes until the val word is stable, and every blob
-      // retirement is preceded by a store that moves val off the blob
-      // (update CAS, erase exchange, migration sever) — the standard
-      // publish-then-validate argument, applied to the value link.  A
-      // tagged (frozen) live blob is still readable: the frozen chain stays
-      // authoritative until its bucket is DONE.
-      const Protected<KvBlob> pb = hp.blob.protect(pos.curr->val);
-      if (!g.valid()) {
-        restart(g);
-        continue;
-      }
-      if (pb.get() == nullptr) {
-        // Tagged-null is either an erase or a migration sever; only the
-        // sever also tags the next link.  A severed pair may be live in
-        // the child bucket, so re-route instead of reporting absent.
-        if (pos.curr->next.load(std::memory_order_seq_cst).tagged())
-          return OpOutcome::kMigrate;
-        return OpOutcome::kFalse;  // erased
-      }
-      if (pb.tagged() && b.done.load(std::memory_order_seq_cst) != 0) {
-        // Frozen live value, but the bucket has been copied out: the child
-        // chain is authoritative now and may hold a newer value.
-        return OpOutcome::kMigrate;
-      }
-      if (out != nullptr) out->assign(pb->view());
-      return OpOutcome::kTrue;
-    }
-  }
-
-  OpOutcome try_contains(Handle& h, BucketSlot& b, std::uint64_t hash,
-                         std::string_view key) {
-    Guard g(h);
-    Hp hp(g);
-    Position pos = find(g, hp, b.head, hash, key);
-    if (pos.status == FindStatus::kMigrate) return OpOutcome::kMigrate;
-    if (pos.status == FindStatus::kAbsent) return OpOutcome::kFalse;
-    const BlobMP bv = pos.curr->val.load(std::memory_order_seq_cst);
-    if (bv.ptr() != nullptr) {
-      if (bv.tagged() && b.done.load(std::memory_order_seq_cst) != 0)
-        return OpOutcome::kMigrate;  // copied out; child is authoritative
-      return OpOutcome::kTrue;
-    }
-    // Distinguish erase (next at most marked) from sever (next tagged):
-    // a severed pair may be live in the child bucket.
-    if (pos.curr->next.load(std::memory_order_seq_cst).tagged())
-      return OpOutcome::kMigrate;
-    return OpOutcome::kFalse;
-  }
-
-  // --- resize -------------------------------------------------------------
-  void maybe_resize(Handle& h) {
-    if (pending_.load(std::memory_order_acquire) != 0) {
-      help_drain(h);
-      return;
-    }
-    const std::uint32_t g = gen_.load(std::memory_order_acquire);
-    const std::size_t n = gen_count(g);
+  // Doubles the bucket count once the load factor is exceeded.  Nothing
+  // moves: the new buckets' sentinels are linked on first use.
+  void maybe_grow() {
+    std::size_t n = count_.load(std::memory_order_relaxed);
     if (n >= max_buckets_) return;
     const std::int64_t size = size_.load(std::memory_order_relaxed);
-    if (size <= static_cast<std::int64_t>(
-                    static_cast<std::size_t>(max_load_factor_) * n))
-      return;
-    std::uint64_t expected = 0;
-    if (!pending_.compare_exchange_strong(expected, n,
-                                          std::memory_order_seq_cst,
-                                          std::memory_order_relaxed))
-      return;  // another writer owns the round
-    // Winning the claim is not yet the round's start: this thread may have
-    // slept between the gen_ load above and the CAS win, across one or more
-    // COMPLETE rounds (pending_ back at 0).  Publishing g+1 then would
-    // either wedge the map (pending_ counts buckets that are already DONE
-    // and can never be decremented again) or regress gen_ outright.  So
-    // re-validate under the claim: gen_ advances only while a claim is held
-    // and a stale claim blocks any new claim, so if it still reads g here
-    // it stays g until we publish.
-    if (gen_.load(std::memory_order_seq_cst) != g) {
-      // Stale claim.  While we held it no round could start and no
-      // decrement could land (every bucket of the completed rounds is
-      // DONE), so a plain store restores the idle state.
-      pending_.store(0, std::memory_order_release);
-      return;
-    }
-    // Extend the directory for generation g+1 and seed every child head
-    // with kPendBit BEFORE publishing, so (a) any thread that reads the new
-    // generation can address every child slot and (b) the in-flight child
-    // chains carry the construction bit from their very first word (the
-    // sole writer here is the validated claim holder: nothing else touches
-    // gen g+1 slots until gen_ is published).
-    buckets_.ensure(gen_base(g + 1) + gen_count(g + 1) - 1);
-    for (std::size_t j = 0; j < gen_count(g + 1); ++j)
-      slot_at(g + 1, j).head.store(MP(nullptr, kPendBit),
-                                   std::memory_order_relaxed);
-    seeded_gen_.store(g + 1, std::memory_order_release);
-    // CAS, not store: a drainer that saw seeded_gen_ may have published on
-    // our behalf, and by now later rounds may have run — a blind store
-    // could regress gen_.
-    std::uint32_t eg = g;
-    gen_.compare_exchange_strong(eg, g + 1, std::memory_order_seq_cst,
-                                 std::memory_order_relaxed);
+    if (size <= static_cast<std::int64_t>(max_load_factor_ * n)) return;
+    count_.compare_exchange_strong(n, 2 * n, std::memory_order_relaxed);
   }
 
-  // Finishes the publish of a claimed round g -> g+1 on the winner's
-  // behalf, once the winner has extended and seeded the child directory
-  // (seeded_gen_ == g+1; ensure/seed are permanent, so observing that value
-  // means the directory is usable forever after).  Safe against arbitrary
-  // staleness of `g`: gen_ is monotone and only this round's publish moves
-  // it from g, so the CAS succeeding means the round really was in its
-  // claimed-but-unpublished window.
-  bool try_help_publish(std::uint32_t g) {
-    if (seeded_gen_.load(std::memory_order_acquire) != g + 1) return false;
-    std::uint32_t eg = g;
-    gen_.compare_exchange_strong(eg, g + 1, std::memory_order_seq_cst,
-                                 std::memory_order_relaxed);
-    return true;
-  }
-
-  // Writers that see a round in flight migrate a couple of buckets past a
-  // rotating cursor, so the round completes under write load even when the
-  // access pattern never touches the cold buckets.
-  void help_drain(Handle& h) {
-    const std::uint32_t g = gen_.load(std::memory_order_acquire);
-    const std::uint64_t p = pending_.load(std::memory_order_acquire);
-    if (p == 0) return;
-    if (p == gen_count(g) && gen_.load(std::memory_order_acquire) == g) {
-      try_help_publish(g);  // claimed but unpublished: nothing to migrate
-      return;
-    }
-    if (g == 0) return;
-    const std::size_t old_n = gen_count(g - 1);
-    const std::uint64_t cur = cursor_.fetch_add(2, std::memory_order_relaxed);
-    for (unsigned i = 0; i < 2; ++i) {
-      const std::size_t p = static_cast<std::size_t>(cur + i) & (old_n - 1);
-      if (slot_at(g - 1, p).done.load(std::memory_order_acquire) == 0)
-        migrate_bucket(h, g - 1, p);
-    }
-  }
-
-  // Brings bucket (old_gen, p) to DONE: freeze, cooperative copy, then the
-  // DONE winner seals the child chains, severs and retires the old chain.
-  // Runs to completion; safe to call from any number of helpers
-  // concurrently.
-  void migrate_bucket(Handle& h, std::uint32_t old_gen, std::size_t p) {
-    BucketSlot& ps = slot_at(old_gen, p);
-    if (ps.done.load(std::memory_order_acquire) != 0) return;
-    freeze_chain(h, ps);
-    copy_chain(h, old_gen, p, ps);
-    std::uint32_t expected = 0;
-    if (ps.done.compare_exchange_strong(expected, 1,
-                                        std::memory_order_seq_cst,
-                                        std::memory_order_relaxed)) {
-      // Seal before the pending_ decrement: the next round can only claim
-      // once pending_ hits 0, so its freeze never meets a kPendBit word.
-      seal_chain(h, slot_at(old_gen + 1, p));
-      seal_chain(h, slot_at(old_gen + 1, p + gen_count(old_gen)));
-      sever_and_retire(h, ps);
-      migrated_.fetch_add(1, std::memory_order_relaxed);
-      pending_.fetch_sub(1, std::memory_order_release);
-    }
-  }
-
-  // DONE-winner epilogue, part 1: strips kPendBit from every link of a
-  // now-authoritative child chain (the seeded head, each node's next,
-  // including terminal nulls).  The chain is live — clients reached it the
-  // moment the parent's done flag rose — so the walk is hazard-protected
-  // and tolerates concurrent inserts (they install pend-free words),
-  // unlinks (an unlinked node's word no longer matters), and clients
-  // helping with the same clears.  No post-round mutation re-installs the
-  // bit and a stale copier's pend-expected commit cannot succeed once the
-  // round is over, so one completed pass leaves the chain pend-free.
-  void seal_chain(Handle& h, BucketSlot& cb) {
-    Guard g(h);
-    FreezeHp hp(g);
-    for (;;) {
-      MP head = cb.head.load(std::memory_order_seq_cst);
-      while (head.pended() &&
-             !cb.head.compare_exchange_strong(head, head.without_pend(),
-                                              std::memory_order_seq_cst,
-                                              std::memory_order_seq_cst)) {
-      }
-      MP curr_m = hp.curr.protect(cb.head);
-      if (!g.valid()) {
-        restart(g);
-        continue;
-      }
-      KvNode* n = curr_m.ptr();
-      bool invalidated = false;
-      while (n != nullptr) {
-        MP nx = n->next.load(std::memory_order_seq_cst);
-        while (nx.pended() &&
-               !n->next.compare_exchange_strong(nx, nx.without_pend(),
-                                                std::memory_order_seq_cst,
-                                                std::memory_order_seq_cst)) {
-        }
-        const Protected<KvNode> step = hp.next.protect(n->next);
-        if (!g.valid()) {
-          invalidated = true;
-          break;
-        }
-        n = step.get();
-        hp.curr.dup_from(hp.next);
-      }
-      if (!invalidated) return;
-      restart(g);
-    }
-  }
-
-  // Tags the head and every val/next link, in chain order.  After the head
-  // is tagged no insert can land at the front and no unlink of the first
-  // node can succeed; inductively, once a node's next is tagged its
-  // successor is pinned in the chain.  That pin argument holds only against
-  // *mutators*, not against a DONE winner's sever-and-retire — a freezer
-  // that sleeps here while other helpers finish the round would otherwise
-  // wake up standing on retired nodes — so the walk is hazard-protected
-  // like every other traversal.  After a sever, every link reads
-  // tagged-null and the walk terminates immediately.  Mutators race the
-  // tag CASes and may win individual rounds, but every winner strictly
-  // decreases the remaining untagged suffix's work, so the loop terminates.
-  void freeze_chain(Handle& h, BucketSlot& ps) {
-    Guard g(h);
-    FreezeHp hp(g);
-    for (;;) {
-      MP head = ps.head.load(std::memory_order_seq_cst);
-      // A bucket only becomes a freeze target one full round after it was
-      // built, and its construction round sealed it before decrementing
-      // pending_ — so the construction bit must be long gone.
-      assert(!head.pended());
-      while (!head.tagged() &&
-             !ps.head.compare_exchange_strong(head, head.with_tag(),
-                                              std::memory_order_seq_cst,
-                                              std::memory_order_seq_cst)) {
-      }
-      MP curr_m = hp.curr.protect(ps.head);
-      if (!g.valid()) {
-        restart(g);
-        continue;
-      }
-      KvNode* n = curr_m.ptr();
-      bool invalidated = false;
-      while (n != nullptr) {
-        BlobMP v = n->val.load(std::memory_order_seq_cst);
-        while (!v.tagged() &&
-               !n->val.compare_exchange_strong(v, v.with_tag(),
-                                               std::memory_order_seq_cst,
-                                               std::memory_order_seq_cst)) {
-        }
-        MP nx = n->next.load(std::memory_order_seq_cst);
-        while (!nx.tagged() &&
-               !n->next.compare_exchange_strong(nx, nx.with_tag(),
-                                                std::memory_order_seq_cst,
-                                                std::memory_order_seq_cst)) {
-        }
-        // n->next is tagged (immutable to mutators) from here on, so the
-        // successor protect stabilises at once and the hazard covers the
-        // next node before we step onto it.  A concurrent sever overwrites
-        // the link to tagged-null, which ends the walk.
-        const Protected<KvNode> step = hp.next.protect(n->next);
-        if (!g.valid()) {
-          invalidated = true;
-          break;
-        }
-        n = step.get();
-        hp.curr.dup_from(hp.next);
-      }
-      if (!invalidated) return;
-      restart(g);
-    }
-  }
-
-  // Copies every live pair of the frozen chain into the child buckets of
-  // generation old_gen+1.  Hazard-protected even though the chain is
-  // immutable: a concurrent helper may win the DONE race and sever/retire
-  // the chain under us, which the prev-link validation detects.
-  void copy_chain(Handle& h, std::uint32_t old_gen, std::size_t /*p*/,
-                  BucketSlot& ps) {
-    const std::uint32_t new_gen = old_gen + 1;
-    for (;;) {
-      if (ps.done.load(std::memory_order_acquire) != 0) return;
-      Guard g(h);
-      Hp hp(g);
-      ChildHp chp(g);
-      Link* prev = &ps.head;
-      MP curr_m = hp.curr.protect(ps.head);
-      if (!g.valid()) {
-        restart(g);
-        continue;
-      }
-      KvNode* curr = curr_m.ptr();
-      bool retry = false;
-      while (curr != nullptr) {
-        const MP next = hp.next.protect(curr->next);
-        if (!g.valid()) {
-          retry = true;
-          break;
-        }
-        if (prev->load(std::memory_order_seq_cst).ptr() != curr) {
-          retry = true;  // severed under us (or freeze still racing)
-          break;
-        }
-        const Protected<KvBlob> pb = hp.blob.protect(curr->val);
-        if (!g.valid()) {
-          retry = true;
-          break;
-        }
-        if (!next.marked() && pb.get() != nullptr) {
-          if (!insert_copy(g, chp, h,
-                           slot_at(new_gen, static_cast<std::size_t>(
-                                                curr->hash) &
-                                                (gen_count(new_gen) - 1)),
-                           ps.done, curr, pb.get())) {
-            retry = true;
-            break;
-          }
-        }
-        prev = &curr->next;
-        hp.prev.dup_from(hp.curr);
-        curr = next.ptr();
-        hp.curr.dup_from(hp.next);
-      }
-      if (!retry) return;
-      if (ps.done.load(std::memory_order_acquire) != 0) return;
-      restart(g);
-    }
-  }
-
-  // Insert-if-absent of a copy of (src, blob) into a child chain.  While
-  // the round is in flight the child chain is invisible to normal
-  // operations, so the only races are between helpers copying the same
-  // bucket, which insert-if-absent absorbs.  A helper can also sleep here
-  // across the end of its round and into later ones; then the child chain
-  // is live — or frozen/severed by a later round — and this helper must
-  // not commit a stale copy.  The kPendBit discipline enforces that:
-  // every word of an in-flight child chain carries the bit (seeded head,
-  // each installed next, terminal nulls), the DONE winner's seal strips it,
-  // and every post-round mutation installs pend-free words.  So this walk
-  // requires the bit on every word it reads — a clean, tagged, or marked
-  // word means the round is over — and the commit CAS's expected value
-  // carries it too.  That closes the insert-then-delete ABA a bare
-  // expected-value check cannot see: if another helper copies this key
-  // here, the round completes, and a client then erases and unlinks that
-  // copy, prev holds the pend-FREE word MP(curr) — our pend-expected CAS
-  // fails instead of resurrecting the erased key.  (The parent-DONE check
-  // before the commit is kept as a cheap early exit; the pend bit is what
-  // carries the safety argument, see DESIGN.md §10.)
-  // Returns false when the whole copy pass must restart (guard invalidated
-  // or round over); the caller re-checks the parent's DONE flag and exits.
-  bool insert_copy(Guard& g, ChildHp& chp, Handle& h, BucketSlot& cb,
-                   const std::atomic<std::uint32_t>& parent_done,
-                   const KvNode* src, const KvBlob* blob) {
-    const std::uint64_t hash = src->hash;
-    const std::string_view key = src->key();
-    KvNode* n = nullptr;
-    KvBlob* nb = nullptr;
-    const auto discard = [&] {
-      if (n != nullptr) h.dealloc_unpublished(n);
-      if (nb != nullptr) h.dealloc_unpublished(nb);
-    };
-    for (;;) {
-      Link* prev = &cb.head;
-      MP curr_m = chp.curr.protect(cb.head);
-      if (!g.valid()) {
-        discard();
-        return false;
-      }
-      if (curr_m.tagged() || !curr_m.pended()) {  // round over: sealed,
-        discard();                                // frozen, or severed
-        return false;
-      }
-      KvNode* curr = curr_m.ptr();
-      bool retry = false;
-      while (curr != nullptr) {
-        const MP next = chp.next.protect(curr->next);
-        if (!g.valid()) {
-          discard();
-          return false;
-        }
-        const MP pv = prev->load(std::memory_order_seq_cst);
-        if (pv != MP(curr, kPendBit)) {
-          if (pv.tagged() || !pv.pended()) {
-            discard();
-            return false;
-          }
-          retry = true;  // a concurrent helper's copy landed here
-          break;
-        }
-        if (next.tagged() || next.marked() || !next.pended()) {
-          discard();
-          return false;
-        }
-        const int c = kv_compare(hash, key, curr);
-        if (c == 0) {  // another helper won this pair
-          discard();
-          return true;
-        }
-        if (c < 0) break;
-        prev = &curr->next;
-        chp.prev.dup_from(chp.curr);
-        curr = next.ptr();
-        chp.curr.dup_from(chp.next);
-      }
-      if (retry) continue;
-      if (parent_done.load(std::memory_order_seq_cst) != 0) {
-        discard();
-        return false;
-      }
-      if (nb == nullptr) nb = make_blob(h, blob->view());
-      if (n == nullptr) {
-        n = make_node(h, hash, key, nb);
-      }
-      n->next.store(MP(curr, kPendBit), std::memory_order_relaxed);
-      MP expected(curr, kPendBit);
-      if (prev->compare_exchange_strong(expected, MP(n, kPendBit),
-                                        std::memory_order_seq_cst,
-                                        std::memory_order_relaxed)) {
-        return true;
-      }
-      if (expected.tagged() || !expected.pended()) {
-        discard();
-        return false;
-      }
-    }
-  }
-
-  // DONE-winner epilogue.  Severs EVERY link of the frozen chain (head,
-  // next, val) to tagged-null first and retires the cells only afterwards:
-  // a reader that protected a node or blob through one of these links did
-  // so while the link still pointed at it, so validation-based schemes see
-  // either the pre-sever word (protection holds, reclamation waits) or a
-  // tagged word (operation re-routes).
-  void sever_and_retire(Handle& h, BucketSlot& ps) {
-    std::vector<KvNode*> nodes;
-    for (KvNode* n = ps.head.load(std::memory_order_seq_cst).ptr();
-         n != nullptr; n = n->next.load(std::memory_order_seq_cst).ptr()) {
-      nodes.push_back(n);
-    }
-    ps.head.store(MP(nullptr, kTagBit), std::memory_order_seq_cst);
-    for (KvNode* n : nodes) {
-      n->next.store(MP(nullptr, kMarkBit | kTagBit),
-                    std::memory_order_seq_cst);
-    }
-    std::vector<KvBlob*> blobs;
-    blobs.reserve(nodes.size());
-    for (KvNode* n : nodes) {
-      const BlobMP v = n->val.load(std::memory_order_seq_cst);
-      n->val.store(BlobMP(nullptr, kTagBit), std::memory_order_seq_cst);
-      // A marked node's blob was claimed by its eraser; only live frozen
-      // blobs are the migrator's to retire.
-      if (v.ptr() != nullptr) blobs.push_back(v.ptr());
-    }
-    Guard g(h);  // retire inside an op bracket, like every structure here
-    for (KvBlob* b : blobs) h.retire(b);
-    for (KvNode* n : nodes) h.retire(n);
-  }
-
-  AtomicChunkedArray<BucketSlot> buckets_;
-  std::size_t initial_ = 16;
+  std::atomic<Bucket*> segments_[64] = {};
+  Bucket tail_;  // split-order key ~0, sorts after every target
   std::size_t max_buckets_ = std::size_t{1} << 20;
   unsigned max_load_factor_ = 4;
-  alignas(kCacheLine) std::atomic<std::uint32_t> gen_{0};
-  // Highest generation whose directory extension + kPendBit head seeding
-  // has completed (monotone; written only by validated round claimants).
-  // Gates try_help_publish: helpers may finish a stalled winner's gen_
-  // publish only once the child slots are fully usable.
-  std::atomic<std::uint32_t> seeded_gen_{0};
-  alignas(kCacheLine) std::atomic<std::uint64_t> pending_{0};
-  std::atomic<std::uint64_t> cursor_{0};
+  alignas(kCacheLine) std::atomic<std::size_t> count_{0};
   alignas(kCacheLine) std::atomic<std::int64_t> size_{0};
-  std::atomic<std::uint64_t> migrated_{0};
+  std::atomic<std::uint64_t> linked_{0};
   Smr& smr_;
 };
 

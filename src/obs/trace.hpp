@@ -106,11 +106,11 @@ class TraceRing {
 
   // Appends the currently readable events, oldest first.  Slots the writer
   // has wrapped past or is mid-write on are skipped, never torn.  Returns
-  // the number of events appended.
+  // the number of events added.
   std::size_t snapshot(std::vector<TraceEvent>& out) const {
     const std::uint64_t c = count_.load(std::memory_order_acquire);
     const std::uint64_t lo = c > kCapacity ? c - kCapacity : 0;
-    std::size_t appended = 0;
+    std::size_t added = 0;
     for (std::uint64_t i = lo; i < c; ++i) {
       const Slot& s = slots_[i & (kCapacity - 1)];
       const std::uint64_t want = 2 * i + 2;
@@ -122,9 +122,9 @@ class TraceRing {
           static_cast<TraceKind>(s.kind.load(std::memory_order_relaxed));
       if (s.seq.load(std::memory_order_acquire) != want) continue;
       out.push_back(e);
-      ++appended;
+      ++added;
     }
-    return appended;
+    return added;
   }
 
  private:

@@ -67,7 +67,7 @@ template <class Domain>
 class HandleRegistry {
  public:
   // A permanent membership record.  `handle` is constructed exactly once
-  // (when the record is appended) and reused across claim/release cycles;
+  // (when the record is pushed) and reused across claim/release cycles;
   // schemes guarantee their handles are left in a reusable state by
   // `leave()` (reservations idle, limbo donated).
   struct alignas(kFalseSharingRange) Record {

@@ -1,16 +1,18 @@
-// scot::kv — semantics of the string-keyed resizable shard (AnyKv /
+// scot::kv — semantics of the string-keyed growable shard (AnyKv /
 // KvHashMap) and the sharded KvStore facade, across every registered
-// scheme.  The hammer at the bottom is the concurrent
-// resize-vs-op-vs-session-churn witness ISSUE 9 asks for: writers keep a
-// must-survive key set while churn threads update/erase a volatile range,
-// session churners join and leave the shard domains, and the directory
-// doubles repeatedly underneath all of them.
+// scheme.  The hammer near the bottom is the concurrent
+// growth-vs-op-vs-session-churn witness: writers keep a must-survive key
+// set while churn threads update/erase a volatile range, session churners
+// join and leave the shard domains, and the directory doubles repeatedly
+// underneath all of them.  The last suite races first use of unlinked
+// bucket sentinels.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "kv/any_kv.hpp"
@@ -129,8 +131,7 @@ TEST(AnyKv, ResizeGrowsTheDirectoryAndKeepsEveryKey) {
     for (unsigned i = 0; i < kKeys; ++i)
       ASSERT_TRUE(s.put(key_of(i), value_of(i)));
   }
-  EXPECT_EQ(kv->size_unsafe(), kKeys);  // also drains in-flight migrations
-  EXPECT_EQ(kv->pending_migration(), 0u);
+  EXPECT_EQ(kv->size_unsafe(), kKeys);
   EXPECT_GT(kv->bucket_count(), 2u);
   EXPECT_GT(kv->migrated_buckets(), 0u);
   {
@@ -196,12 +197,10 @@ TEST(KvStore, StatsAggregateAcrossShardDomains) {
   EXPECT_EQ(store->size_unsafe(), 0u);
 }
 
-// Regression for the insert_copy ABA: a stale migration helper that slept
-// between its child-chain walk and its commit CAS must not resurrect a key
-// that a client erased after the round completed (the kPendBit discipline
-// makes the stale commit fail).  Checkers put+erase their own key and must
-// never see it again, while driver threads force back-to-back doubling
-// rounds underneath them.
+// Erase must stay erased while the directory grows: checkers put+erase
+// their own key and must never see it again, while driver threads force
+// back-to-back doublings underneath them, so the checkers' buckets keep
+// splitting and their sentinels get linked mid-operation.
 TEST(KvStore, EraseStaysErasedDuringResizeStorm) {
   const int kCheckIters = scaled_iters(2000, 10);
   const unsigned kDriverKeys = static_cast<unsigned>(scaled_iters(6000, 16));
@@ -239,17 +238,15 @@ TEST(KvStore, EraseStaysErasedDuringResizeStorm) {
   });
   ASSERT_FALSE(failed.load()) << fail_what;
   EXPECT_EQ(store->size_unsafe(), 2u * kDriverKeys);
-  EXPECT_EQ(store->pending_migration(), 0u);
 }
 
-// Regression for the resize-claim races: drainers hammer size_unsafe()
-// (which runs drain_migrations) while writers start round after round.  A
-// stale claimant publishing over a later generation used to wedge pending_
-// at a count nothing decrements — this test then hangs in drain — and the
-// claimed-but-unpublished window used to be a hot spin; now drainers help
-// publish or yield through it.
-TEST(KvStore, DrainRacesRoundClaimsWithoutWedging) {
+// Growth race: a reader inserts its keys first, then three writers force
+// repeated doublings while the reader gets its keys over and over.  Every
+// read must come back: a doubling never moves a node, and a key whose
+// bucket sentinel is not linked yet is found from an ancestor's sentinel.
+TEST(KvStore, GrowthRacesKeepPreloadedKeysReadable) {
   const unsigned kDriverKeys = static_cast<unsigned>(scaled_iters(4000, 16));
+  const unsigned kReaderKeys = 256;
   KvStoreOptions o;
   o.smr = small_config(16);
   o.shards = 1;
@@ -257,27 +254,37 @@ TEST(KvStore, DrainRacesRoundClaimsWithoutWedging) {
   auto store = KvStore::make(SchemeId::kHP, StructureId::kKvHash, o);
   ASSERT_TRUE(store.has_value());
 
+  std::atomic<bool> preloaded{false};
   std::atomic<int> writers_done{0};
+  std::atomic<bool> failed{false};
+  std::string fail_what;
   run_threads(4, [&](unsigned t) {
+    auto s = store->session();
     if (t < 3) {
-      auto s = store->session();
+      while (!preloaded.load()) std::this_thread::yield();
       for (unsigned i = 0; i < kDriverKeys; ++i)
         s.put(key_of(t * 1000000u + i), value_of(i));
       writers_done.fetch_add(1);
     } else {
-      // Drainer: every call must terminate with the in-flight round (if
-      // any) fully migrated, even when it interleaves with claim CASes.
+      for (unsigned i = 0; i < kReaderKeys; ++i)
+        s.put(key_of(9000000u + i), value_of(i));
+      preloaded.store(true);
       do {
-        store->size_unsafe();
-      } while (writers_done.load() < 3);
+        for (unsigned i = 0; i < kReaderKeys && !failed.load(); ++i) {
+          if (s.get(key_of(9000000u + i)) != value_of(i) &&
+              !failed.exchange(true))
+            fail_what = "preloaded key lost during growth: " +
+                        key_of(9000000u + i);
+        }
+      } while (writers_done.load() < 3 && !failed.load());
     }
   });
-  EXPECT_EQ(store->size_unsafe(), 3u * kDriverKeys);
-  EXPECT_EQ(store->pending_migration(), 0u);
+  ASSERT_FALSE(failed.load()) << fail_what;
+  EXPECT_EQ(store->size_unsafe(), 3u * kDriverKeys + kReaderKeys);
   EXPECT_GT(store->bucket_count(), 2u);
 }
 
-// The ISSUE 9 hammer: concurrent resize vs. operations vs. session churn.
+// The hammer: concurrent growth vs. operations vs. session churn.
 // Two writer threads own disjoint must-survive ranges; two churn threads
 // update/erase/reinsert a shared volatile range; one session-churn thread
 // opens and closes short-lived sessions in a loop.  The shard starts at 2
@@ -363,8 +370,8 @@ TEST_P(KvHammerTest, ConcurrentResizeOpsAndSessionChurn) {
   });
   ASSERT_FALSE(failed.load()) << fail_what;
 
-  // Quiesced: every must-survive key is present with its exact value, the
-  // volatile range is consistent, and no migration round is stuck.
+  // Quiesced: every must-survive key is present with its exact value and
+  // the volatile range is consistent.
   {
     auto s = store->session();
     for (unsigned t = 0; t < 2; ++t) {
@@ -384,7 +391,6 @@ TEST_P(KvHammerTest, ConcurrentResizeOpsAndSessionChurn) {
   const std::size_t size = store->size_unsafe();
   EXPECT_GE(size, 2u * kStablePerWriter);
   EXPECT_LE(size, 2u * kStablePerWriter + kVolatile + 64);
-  EXPECT_EQ(store->pending_migration(), 0u);
   EXPECT_GT(store->bucket_count(), 2u * o.shards);
 
   // Bounded pending garbage: with all sessions closed the domains may hold
@@ -395,6 +401,83 @@ TEST_P(KvHammerTest, ConcurrentResizeOpsAndSessionChurn) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, KvHammerTest,
+                         ::testing::ValuesIn(std::vector<SchemeId>(
+                             std::begin(kAllSchemes), std::end(kAllSchemes))),
+                         [](const ::testing::TestParamInfo<SchemeId>& info) {
+                           return scheme_name(info.param);
+                         });
+
+// The sentinel-link race.  A shard starts at 1 bucket and is preloaded only
+// with keys that hash into bucket 0 at every size the test reaches, so the
+// directory doubles up to 64 buckets with no sentinel but bucket 0's linked.
+// Right after that last doubling, four threads insert and read keys that
+// hash anywhere else: they race to claim and link sentinels (and their
+// unlinked ancestors), and meanwhile search from whichever ancestor is
+// linked.  Every key must read back, from every thread, and no bucket may be
+// linked twice.
+class KvSentinelRaceTest : public ::testing::TestWithParam<SchemeId> {};
+
+TEST_P(KvSentinelRaceTest, FirstUseOfUnlinkedBucketsRacesSafely) {
+  constexpr unsigned kThreads = 4;
+  constexpr std::size_t kPreloadBuckets = 64;
+  const unsigned kPerThread = static_cast<unsigned>(scaled_iters(400, 4));
+  auto kv = AnyKv::make(GetParam(), StructureId::kKvHash,
+                        small_kv_options(/*initial_buckets=*/1));
+  ASSERT_TRUE(kv.has_value());
+
+  // With load factor 4 the 129th insert doubles 32 -> 64 buckets.
+  std::vector<std::string> preload;
+  std::vector<std::string> racing;
+  for (unsigned i = 0; preload.size() < 129 ||
+                       racing.size() < kThreads * kPerThread;
+       ++i) {
+    std::string k = key_of(i);
+    if ((kv_hash(k) & (kPreloadBuckets - 1)) == 0) {
+      if (preload.size() < 129) preload.push_back(std::move(k));
+    } else if (racing.size() < kThreads * kPerThread) {
+      racing.push_back(std::move(k));
+    }
+  }
+  {
+    auto s = kv->session();
+    for (const std::string& k : preload) ASSERT_TRUE(s.put(k, "pre"));
+  }
+  ASSERT_EQ(kv->bucket_count(), kPreloadBuckets);
+  ASSERT_EQ(kv->migrated_buckets(), 0u);
+
+  std::atomic<unsigned> ready{0};
+  std::atomic<unsigned> inserted{0};
+  std::atomic<bool> failed{false};
+  std::mutex fail_mu;
+  std::string fail_what;
+  const auto fail = [&](std::string what) {
+    std::lock_guard<std::mutex> lk(fail_mu);
+    if (!failed.exchange(true)) fail_what = std::move(what);
+  };
+  run_threads(kThreads, [&](unsigned t) {
+    auto s = kv->session();
+    ready.fetch_add(1);
+    while (ready.load() < kThreads) std::this_thread::yield();
+    for (unsigned i = t; i < racing.size(); i += kThreads) {
+      if (!s.put(racing[i], value_of(i))) fail("put not an insert: " + racing[i]);
+      if (s.get(racing[i]) != value_of(i)) fail("own read-back: " + racing[i]);
+    }
+    inserted.fetch_add(1);
+    while (inserted.load() < kThreads) std::this_thread::yield();
+    for (unsigned i = 0; i < racing.size(); ++i) {
+      if (s.get(racing[i]) != value_of(i)) fail("cross read-back: " + racing[i]);
+    }
+    for (const std::string& k : preload) {
+      if (!s.contains(k)) fail("preloaded key lost: " + k);
+    }
+  });
+  ASSERT_FALSE(failed.load()) << fail_what;
+  EXPECT_EQ(kv->size_unsafe(), preload.size() + racing.size());
+  EXPECT_GT(kv->migrated_buckets(), 0u);
+  EXPECT_LT(kv->migrated_buckets(), kv->bucket_count());
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSchemes, KvSentinelRaceTest,
                          ::testing::ValuesIn(std::vector<SchemeId>(
                              std::begin(kAllSchemes), std::end(kAllSchemes))),
                          [](const ::testing::TestParamInfo<SchemeId>& info) {
