@@ -19,14 +19,15 @@
 //
 // Directory.  Bucket sentinels live inline in a segment table — segment s
 // holds buckets [2^(s-1), 2^s), segment 0 holds bucket 0 — allocated on
-// first use and immortal for the map's lifetime.  Traversals walk past other
-// buckets' sentinels, so those land in protection slots like any node: each
-// sentinel sits right behind a 16-byte AllocHeader with birth era 0, which
-// is what the era schemes' protect() reads.  Sentinels are never marked,
-// unlinked or retired.  One thread claims an unlinked bucket by CAS and
-// links its sentinel; until that lands, operations on the bucket start from
-// the nearest linked ancestor's sentinel, which precedes the same keys, so
-// nobody waits.
+// first use and immortal for the map's lifetime.  Segments of 1 MB and more
+// sit on whole 2 MB huge pages (common/huge_pages.hpp).  Traversals walk
+// past other buckets' sentinels, so those land in protection slots like any
+// node: each sentinel sits right behind a 16-byte AllocHeader with birth
+// era 0, which is what the era schemes' protect() reads.  Sentinels are
+// never marked, unlinked or retired.  One thread claims an unlinked bucket
+// by CAS and links its sentinel; until that lands, operations on the bucket
+// start from the nearest linked ancestor's sentinel, which precedes the
+// same keys, so nobody waits.
 //
 // Values.  A data node holds its key inline after the struct and its value
 // in a separate KvBlob cell reached through `val`; both come from the
@@ -45,11 +46,13 @@
 #include <cassert>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 
 #include "common/align.hpp"
+#include "common/huge_pages.hpp"
 #include "common/stable_atomic.hpp"
 #include "core/marked_ptr.hpp"
 #include "core/scot_find.hpp"
@@ -195,7 +198,10 @@ class KvHashMap {
       }
       n = next;
     }
-    for (auto& s : segments_) delete[] s.load(std::memory_order_relaxed);
+    for (unsigned s = 0; s < std::size(segments_); ++s) {
+      if (Bucket* seg = segments_[s].load(std::memory_order_relaxed))
+        delete_segment(seg, segment_size(s));
+    }
   }
 
   KvHashMap(const KvHashMap&) = delete;
@@ -409,8 +415,8 @@ class KvHashMap {
   // CAS; the loser frees its copy.
   Bucket* install_segment(unsigned s) {
     const std::size_t first = std::size_t{1} << s >> 1;
-    const std::size_t n = std::max<std::size_t>(first, 1);
-    Bucket* fresh = new Bucket[n];
+    const std::size_t n = segment_size(s);
+    Bucket* fresh = new_segment(n);
     for (std::size_t i = 0; i < n; ++i)
       fresh[i].sentinel.so_key = so_bucket_key(first + i);
     Bucket* expected = nullptr;
@@ -418,8 +424,37 @@ class KvHashMap {
                                              std::memory_order_acq_rel,
                                              std::memory_order_acquire))
       return fresh;
-    delete[] fresh;
+    delete_segment(fresh, n);
     return expected;
+  }
+
+  // Buckets in segment s.
+  static std::size_t segment_size(unsigned s) {
+    return std::max<std::size_t>(std::size_t{1} << s >> 1, 1);
+  }
+
+  // Segments of at least kHugeSegmentBytes take whole huge pages: a bucket
+  // visit then rarely pays a page walk, and the rounding costs less than
+  // one huge page per segment.
+  static constexpr std::size_t kHugeSegmentBytes = std::size_t{1} << 20;
+
+  static Bucket* new_segment(std::size_t n) {
+    const std::size_t bytes = n * sizeof(Bucket);
+    if (bytes < kHugeSegmentBytes) return new Bucket[n];
+    auto* seg =
+        static_cast<Bucket*>(huge_page_alloc(huge_page_round_up(bytes)));
+    std::uninitialized_default_construct_n(seg, n);
+    return seg;
+  }
+
+  static void delete_segment(Bucket* seg, std::size_t n) {
+    const std::size_t bytes = n * sizeof(Bucket);
+    if (bytes < kHugeSegmentBytes) {
+      delete[] seg;
+      return;
+    }
+    std::destroy_n(seg, n);
+    huge_page_free(seg, huge_page_round_up(bytes));
   }
 
   // The link a search for `hash` starts from: its bucket's sentinel once

@@ -108,6 +108,7 @@ struct StatsSnapshot {
   std::uint64_t bg_adaptations = 0;
   std::uint64_t limbo_peak = 0;     // max across cells
   std::int64_t pending = 0;         // domain-wide gauge (SmrCounters)
+  std::uint64_t pool_bytes = 0;     // NodePool chunk bytes mapped (gauge)
   std::uint64_t retired_total = 0;  // SmrCounters::retired
   std::uint64_t reclaimed_total = 0;
   std::uint64_t scan_count = 0;
@@ -137,6 +138,7 @@ struct StatsSnapshot {
     bg_adaptations += o.bg_adaptations;
     limbo_peak = limbo_peak > o.limbo_peak ? limbo_peak : o.limbo_peak;
     pending += o.pending;
+    pool_bytes += o.pool_bytes;
     retired_total += o.retired_total;
     reclaimed_total += o.reclaimed_total;
     scan_count += o.scan_count;
@@ -176,6 +178,7 @@ struct StatsSnapshot {
     }
     out += "limbo_peak: " + std::to_string(limbo_peak) + "\n";
     out += "pending: " + std::to_string(pending) + "\n";
+    out += "pool_bytes: " + std::to_string(pool_bytes) + "\n";
     out += "retired_total: " + std::to_string(retired_total) + "\n";
     out += "reclaimed_total: " + std::to_string(reclaimed_total) + "\n";
     out += "scan_count: " + std::to_string(scan_count) + "\n";

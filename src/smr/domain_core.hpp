@@ -151,6 +151,7 @@ class DomainCore {
     obs::StatsSnapshot s = stats_obs_.snapshot();
     s.enabled = SCOT_STATS != 0 && cfg_.track_stats;
     s.pending = pending_nodes();
+    s.pool_bytes = pool_.total_chunk_bytes();
     s.retired_total = counters_.retired.load(std::memory_order_relaxed);
     s.reclaimed_total = counters_.reclaimed.load(std::memory_order_relaxed);
     return s;

@@ -121,5 +121,48 @@ TEST(NodePool, ManyBlocksWhenExhausted) {
   EXPECT_GE(pool.total_block_bytes(), 2 * NodePool::kBlockBytes);
 }
 
+std::uintptr_t chunk_of(const void* p) {
+  return reinterpret_cast<std::uintptr_t>(p) & ~(NodePool::kChunkBytes - 1);
+}
+
+TEST(NodePool, ShardsCarveBlocksFromOneAlignedChunk) {
+  NodePool pool(2);
+  void* a = pool.alloc(0, 48);
+  void* b = pool.alloc(1, 48);
+  EXPECT_EQ(chunk_of(a), chunk_of(b));
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(header_of(a)), chunk_of(a))
+      << "the first cell starts a 2 MB-aligned chunk";
+  EXPECT_EQ(pool.total_chunk_bytes(), NodePool::kChunkBytes);
+  EXPECT_EQ(pool.total_block_bytes(), 2 * NodePool::kBlockBytes);
+}
+
+TEST(NodePool, UncarvedChunkBytesStayBelowOneChunk) {
+  // The bound behind the pool's resident-memory cost: however the shards
+  // interleave, only the current chunk has bytes no shard has taken.
+  NodePool pool(3);
+  for (unsigned i = 0; pool.total_block_bytes() < 9 * NodePool::kBlockBytes;
+       ++i) {
+    (void)pool.alloc(i % 3, NodePool::max_node_bytes());
+  }
+  EXPECT_GE(pool.total_chunk_bytes(), 2 * NodePool::kChunkBytes);
+  EXPECT_LT(pool.total_chunk_bytes() - pool.total_block_bytes(),
+            NodePool::kChunkBytes);
+}
+
+TEST(NodePool, BirthEraSurvivesReuseInALaterChunk) {
+  NodePool pool(1);
+  const std::uintptr_t first = chunk_of(pool.alloc(0, 48));
+  void* p = nullptr;
+  do {
+    p = pool.alloc(0, NodePool::max_node_bytes());
+  } while (chunk_of(p) == first);
+  EXPECT_EQ(pool.total_chunk_bytes(), 2 * NodePool::kChunkBytes);
+  header_of(p)->birth_era.store(77, std::memory_order_release);
+  pool.free(0, p, NodePool::max_node_bytes());
+  void* q = pool.alloc(0, NodePool::max_node_bytes());
+  ASSERT_EQ(p, q);
+  EXPECT_EQ(header_of(q)->birth_era.load(std::memory_order_acquire), 77u);
+}
+
 }  // namespace
 }  // namespace scot

@@ -148,6 +148,35 @@ TEST(AnyKv, ResizeGrowsTheDirectoryAndKeepsEveryKey) {
   EXPECT_EQ(kv->size_unsafe(), (kKeys + 1) / 2);
 }
 
+// A directory segment of 1 MB or more sits on huge pages (DESIGN.md §10).
+// At 32768 buckets the top segment holds buckets [16384, 32768), 1.5 MB of
+// inline sentinels: keys hashing there are served from that segment, and the
+// shard's destructor releases it.
+TEST(AnyKv, HugePageDirectorySegmentServesEveryScheme) {
+  constexpr std::size_t kBuckets = 32768;
+  const unsigned kKeys = static_cast<unsigned>(scaled_iters(200, 4));
+  std::vector<unsigned> ids;
+  for (unsigned i = 0; ids.size() < kKeys; ++i) {
+    if ((kv_hash(key_of(i)) & (kBuckets - 1)) >= kBuckets / 2) ids.push_back(i);
+  }
+  for (const SchemeId scheme : kAllSchemes) {
+    SCOPED_TRACE(scheme_name(scheme));
+    auto kv = AnyKv::make(scheme, StructureId::kKvHash,
+                          small_kv_options(/*initial_buckets=*/kBuckets));
+    ASSERT_TRUE(kv.has_value());
+    ASSERT_EQ(kv->bucket_count(), kBuckets);
+    auto s = kv->session();
+    for (const unsigned i : ids) ASSERT_TRUE(s.put(key_of(i), value_of(i)));
+    for (const unsigned i : ids) ASSERT_EQ(s.get(key_of(i)), value_of(i)) << i;
+    ASSERT_TRUE(s.erase(key_of(ids[0])));
+    EXPECT_FALSE(s.contains(key_of(ids[0])));
+    s.reset();
+    EXPECT_EQ(kv->size_unsafe(), ids.size() - 1);
+    EXPECT_EQ(kv->bucket_count(), kBuckets);
+    EXPECT_GT(kv->migrated_buckets(), 0u);
+  }
+}
+
 TEST(KvStore, ShardCountsAgreeOnContent) {
   const unsigned kKeys = 512;
   for (const unsigned shards : {1u, 4u}) {
@@ -194,6 +223,8 @@ TEST(KvStore, StatsAggregateAcrossShardDomains) {
     EXPECT_GE(agg.joins, 4u);
     EXPECT_GT(agg.retires, 0u);
   }
+  // Every shard's pool mapped at least one chunk; the gauge sums them.
+  EXPECT_GE(agg.pool_bytes, 4 * NodePool::kChunkBytes);
   EXPECT_EQ(store->size_unsafe(), 0u);
 }
 

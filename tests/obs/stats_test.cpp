@@ -123,6 +123,42 @@ TYPED_TEST(StatsDomainTest, RuntimeDisabledSnapshotIsZero) {
   EXPECT_EQ(s.to_string(), "stats: disabled\n");
 }
 
+TYPED_TEST(StatsDomainTest, PoolBytesReportsMappedChunks) {
+  // A gauge like `pending`: filled whether or not counters are tracked, since
+  // allocator counters such as mallinfo2() cannot see the pool's mappings.
+  for (const bool track : {true, false}) {
+    auto cfg = test::small_config(2);
+    cfg.track_stats = track;
+    TypeParam smr(cfg);
+    {
+      auto h = scoped_handle(smr);
+      test::churn_retire(h.get(), 100);
+    }
+    const obs::StatsSnapshot s = smr.stats();
+    EXPECT_EQ(s.pool_bytes, smr.pool().total_chunk_bytes());
+    EXPECT_GE(s.pool_bytes, NodePool::kChunkBytes);
+    EXPECT_EQ(s.pool_bytes % NodePool::kChunkBytes, 0u);
+    if (s.enabled) {
+      EXPECT_NE(s.to_string().find("pool_bytes: "), std::string::npos);
+    }
+  }
+}
+
+TEST(StatsSnapshot, MergeSumsGaugesAndMaxesPeaks) {
+  obs::StatsSnapshot a;
+  a.pending = 3;
+  a.pool_bytes = NodePool::kChunkBytes;
+  a.limbo_peak = 9;
+  obs::StatsSnapshot b;
+  b.pending = 4;
+  b.pool_bytes = 2 * NodePool::kChunkBytes;
+  b.limbo_peak = 5;
+  a.merge_from(b);
+  EXPECT_EQ(a.pending, 7);
+  EXPECT_EQ(a.pool_bytes, 3 * NodePool::kChunkBytes);
+  EXPECT_EQ(a.limbo_peak, 9u);
+}
+
 TEST(DomainStats, SnapshotSumsCountersAndMaxMergesPeaks) {
   obs::DomainStats ds;
   obs::StatsCell* a = ds.make_cell(true);
