@@ -112,14 +112,52 @@ void BM_AllocRetire(benchmark::State& state) {
   }
 }
 
-#define SCOT_REGISTER_SCHEME(scheme)                       \
-  BENCHMARK(BM_Protect<scheme>)                            \
-      ->Name("protect/" #scheme)                           \
-      ->Arg(1)                                             \
-      ->Arg(0);                                            \
-  BENCHMARK(BM_Dup<scheme>)->Name("dup/" #scheme);         \
-  BENCHMARK(BM_BeginEndOp<scheme>)->Name("op/" #scheme);   \
-  BENCHMARK(BM_AllocRetire<scheme>)->Name("alloc_retire/" #scheme)
+// The contended case: three threads alloc+retire into one shared domain,
+// Arg 1 = track_stats on, 0 = off.  The retire/free books are per-handle,
+// so the two should cost the same; a shared counter on the retire path
+// would show here as a stats-on slowdown that the single-threaded guard
+// below cannot see.  The domains live for the whole process so every
+// benchmark thread joins the same one.
+template <class Smr>
+Smr& shared_retire_domain(bool track_stats) {
+  static const auto make = [](bool track) {
+    SmrConfig cfg;
+    cfg.max_threads = 3;
+    cfg.scan_threshold = 128;  // paper calibration
+    cfg.batch_capacity = 128;
+    cfg.track_stats = track;
+    return cfg;
+  };
+  static Smr on(make(true));
+  static Smr off(make(false));
+  return track_stats ? on : off;
+}
+
+template <class Smr>
+void BM_AllocRetireShared(benchmark::State& state) {
+  Smr& smr = shared_retire_domain<Smr>(state.range(0) != 0);
+  auto sh = scoped_handle(smr);
+  auto& h = sh.get();
+  for (auto _ : state) {
+    auto* n = h.template alloc<ProbeNode>();
+    h.retire(n);
+  }
+}
+
+#define SCOT_REGISTER_SCHEME(scheme)                                \
+  BENCHMARK(BM_Protect<scheme>)                                     \
+      ->Name("protect/" #scheme)                                    \
+      ->Arg(1)                                                      \
+      ->Arg(0);                                                     \
+  BENCHMARK(BM_Dup<scheme>)->Name("dup/" #scheme);                  \
+  BENCHMARK(BM_BeginEndOp<scheme>)->Name("op/" #scheme);            \
+  BENCHMARK(BM_AllocRetire<scheme>)->Name("alloc_retire/" #scheme); \
+  BENCHMARK(BM_AllocRetireShared<scheme>)                           \
+      ->Name("alloc_retire_3t/" #scheme)                            \
+      ->Arg(1)                                                      \
+      ->Arg(0)                                                      \
+      ->Threads(3)                                                  \
+      ->UseRealTime()
 
 SCOT_REGISTER_SCHEME(NoReclaimDomain);
 SCOT_REGISTER_SCHEME(EbrDomain);

@@ -95,13 +95,14 @@ struct KvBlob : ReclaimNode {
 // List node.  A data node has an odd split-order key, its key bytes inline
 // after the struct and its value behind `val`; a bucket sentinel has an
 // even split-order key, no key bytes and a null `val`.  `next` carries
-// kMarkBit for Harris' logical deletion.
+// kMarkBit for Harris' logical deletion.  `next` comes first so that it and
+// `so_key`, the two words every traversal step reads, share a cache line.
 struct KvNode : ReclaimNode {
   using BlobMP = marked_ptr<KvBlob>;
 
+  StableAtomic<marked_ptr<KvNode>> next;
   std::uint64_t so_key;
   std::uint32_t klen;
-  StableAtomic<marked_ptr<KvNode>> next;
   StableAtomic<BlobMP> val;
 
   KvNode(std::uint64_t so, std::uint32_t kl, KvBlob* blob) noexcept
@@ -115,6 +116,8 @@ struct KvNode : ReclaimNode {
     return {reinterpret_cast<const char*>(this + 1), klen};
   }
 };
+// A node with a 16-byte key takes a 96-byte pool cell.
+static_assert(NodePool::cell_bytes(sizeof(KvNode) + 16) == 96);
 
 inline std::uint64_t reverse_bits(std::uint64_t x) noexcept {
   x = ((x >> 1) & 0x5555555555555555ULL) | ((x & 0x5555555555555555ULL) << 1);

@@ -44,9 +44,7 @@ namespace scot::obs {
 enum class Counter : unsigned {
   kJoins = 0,         // domain join()s (session starts)
   kLeaves,            // domain leave()s
-  kRetires,           // retire() calls
   kScans,             // reclamation attempts (limbo scans / batch seals)
-  kNodesReclaimed,    // nodes actually freed by scans
   kHeavyBarriers,     // process-wide heavy barriers issued (asym path)
   kEraAdvances,       // global era/epoch clock ticks by this handle
   kOrphanDonations,   // leave() handoffs into the orphan mailbox
@@ -63,9 +61,7 @@ inline constexpr const char* counter_name(Counter c) noexcept {
   switch (c) {
     case Counter::kJoins: return "joins";
     case Counter::kLeaves: return "leaves";
-    case Counter::kRetires: return "retires";
     case Counter::kScans: return "scans";
-    case Counter::kNodesReclaimed: return "nodes_reclaimed";
     case Counter::kHeavyBarriers: return "heavy_barriers";
     case Counter::kEraAdvances: return "era_advances";
     case Counter::kOrphanDonations: return "orphan_donations";
@@ -89,16 +85,18 @@ struct alignas(kFalseSharingRange) StatsCell {
   std::atomic<StatsCell*> next{nullptr};
 };
 
-// Aggregated view of a domain's cells plus the SmrCounters gauges.  Always
+// Aggregated view of a domain's cells plus its retire/free books.  Always
 // defined (zeroed when stats are compiled out or runtime-disabled) so caller
-// code needs no conditional compilation.
+// code needs no conditional compilation.  `retires` and `nodes_reclaimed`
+// are not cell counters: the domain fills them from the per-handle counts
+// behind `retired_total` / `reclaimed_total` (DESIGN.md §8).
 struct StatsSnapshot {
   bool enabled = false;
   std::uint64_t joins = 0;
   std::uint64_t leaves = 0;
-  std::uint64_t retires = 0;
+  std::uint64_t retires = 0;          // retire() calls
   std::uint64_t scans = 0;
-  std::uint64_t nodes_reclaimed = 0;
+  std::uint64_t nodes_reclaimed = 0;  // nodes freed by scans / batch frees
   std::uint64_t heavy_barriers = 0;
   std::uint64_t era_advances = 0;
   std::uint64_t orphan_donations = 0;
@@ -107,10 +105,10 @@ struct StatsSnapshot {
   std::uint64_t bg_batches_adopted = 0;
   std::uint64_t bg_adaptations = 0;
   std::uint64_t limbo_peak = 0;     // max across cells
-  std::int64_t pending = 0;         // domain-wide gauge (SmrCounters)
+  std::int64_t pending = 0;         // retired_total - reclaimed_total
   std::uint64_t pool_bytes = 0;     // NodePool chunk bytes mapped (gauge)
   std::uint64_t retired_total = 0;  // SmrCounters::retired
-  std::uint64_t reclaimed_total = 0;
+  std::uint64_t reclaimed_total = 0;  // nodes_reclaimed + teardown frees
   std::uint64_t scan_count = 0;
   double scan_p50_ns = 0;
   double scan_p99_ns = 0;
@@ -152,9 +150,7 @@ struct StatsSnapshot {
     switch (c) {
       case Counter::kJoins: return joins;
       case Counter::kLeaves: return leaves;
-      case Counter::kRetires: return retires;
       case Counter::kScans: return scans;
-      case Counter::kNodesReclaimed: return nodes_reclaimed;
       case Counter::kHeavyBarriers: return heavy_barriers;
       case Counter::kEraAdvances: return era_advances;
       case Counter::kOrphanDonations: return orphan_donations;
@@ -171,6 +167,8 @@ struct StatsSnapshot {
   std::string to_string() const {
     std::string out;
     if (!enabled) return "stats: disabled\n";
+    out += "retires: " + std::to_string(retires) + "\n";
+    out += "nodes_reclaimed: " + std::to_string(nodes_reclaimed) + "\n";
     for (unsigned i = 0; i < kCounterCount; ++i) {
       const Counter c = static_cast<Counter>(i);
       out += counter_name(c);
@@ -227,7 +225,7 @@ class DomainStats {
   }
 
   // Aggregate-on-read: sums (and max-merges) every cell.  Fills only the
-  // cell-derived fields; the owning domain adds its SmrCounters gauges.
+  // cell-derived fields; the owning domain adds its retire/free books.
   StatsSnapshot snapshot() const {
     StatsSnapshot s;
     LatencyHistogram scans;
@@ -235,9 +233,7 @@ class DomainStats {
          c != nullptr; c = c->next.load(std::memory_order_acquire)) {
       s.joins += load(c, Counter::kJoins);
       s.leaves += load(c, Counter::kLeaves);
-      s.retires += load(c, Counter::kRetires);
       s.scans += load(c, Counter::kScans);
-      s.nodes_reclaimed += load(c, Counter::kNodesReclaimed);
       s.heavy_barriers += load(c, Counter::kHeavyBarriers);
       s.era_advances += load(c, Counter::kEraAdvances);
       s.orphan_donations += load(c, Counter::kOrphanDonations);
@@ -293,8 +289,9 @@ inline void peak(StatsCell* c, std::uint64_t v) noexcept {
 }
 
 // Scan-latency bracket: scan_begin() reads the clock only when the cell is
-// live (0 otherwise), scan_end() records the elapsed time and the scan
-// counters in one step.
+// live (0 otherwise), scan_end() records the elapsed time and counts the
+// scan in one step.  The nodes a scan frees go to the handle's own books
+// (HandleCore::count_reclaimed), not to the cell.
 inline std::uint64_t scan_begin(const StatsCell* c) noexcept {
 #if SCOT_STATS
   if (c != nullptr) return now_ns();
@@ -304,18 +301,15 @@ inline std::uint64_t scan_begin(const StatsCell* c) noexcept {
   return 0;
 }
 
-inline void scan_end(StatsCell* c, std::uint64_t t0,
-                     std::uint64_t freed) noexcept {
+inline void scan_end(StatsCell* c, std::uint64_t t0) noexcept {
 #if SCOT_STATS
   if (c != nullptr) {
     count(c, Counter::kScans);
-    if (freed > 0) count(c, Counter::kNodesReclaimed, freed);
     c->scan_ns.record(now_ns() - t0);
   }
 #else
   (void)c;
   (void)t0;
-  (void)freed;
 #endif
 }
 

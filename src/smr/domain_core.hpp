@@ -2,10 +2,10 @@
 //
 // A scheme domain derives from DomainCore<Domain> and nests its Handle
 // (derived from HandleCore or LimboHandle, smr/handle_core.hpp).  The core
-// owns everything that is not scheme logic: configuration, node pool,
-// counters, the era/epoch clock, the handle registry with join/leave, the
-// orphan mailbox, the background reclaimer's lifecycle, teardown drain and
-// the observability snapshot.  The scheme keeps its reservation, protect
+// owns everything that is not scheme logic: configuration, node pool, the
+// retire/free books, the era/epoch clock, the handle registry with
+// join/leave, the orphan mailbox, the background reclaimer's lifecycle,
+// teardown drain and the observability snapshot.  The scheme keeps its reservation, protect
 // and scan (or batch) logic.
 //
 // Lifetime: the core is constructed before and destroyed after the scheme's
@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <memory>
 
+#include "common/align.hpp"
 #include "common/asymfence.hpp"
 #include "obs/stats.hpp"
 #include "obs/trace.hpp"
@@ -138,10 +139,23 @@ class DomainCore {
 
   const SmrConfig& config() const noexcept { return cfg_; }
   NodePool& pool() noexcept { return pool_; }
-  std::int64_t pending_nodes() const noexcept {
-    return counters_.pending.load(std::memory_order_relaxed);
+  // The retire/free books: each handle's counts (HandleCore::count_retire/
+  // count_reclaimed) summed over every record ever created, plus the nodes
+  // freed by domain teardown.  Zero when the domain does not track stats.
+  // Safe while workers run: approximate then (frees are summed before
+  // retires, so pending lags but never reads negative), exact in
+  // quiescence.  O(registry records) per read.
+  SmrCounters counters() const noexcept {
+    SmrCounters c;
+    c.reclaimed = teardown_reclaimed_;
+    for (const auto* r = registry_.head(); r != nullptr; r = r->next_record())
+      c.reclaimed += r->handle.reclaimed_.load(std::memory_order_acquire);
+    for (const auto* r = registry_.head(); r != nullptr; r = r->next_record())
+      c.retired += r->handle.retired_.load(std::memory_order_relaxed);
+    c.pending = static_cast<std::int64_t>(c.retired - c.reclaimed);
+    return c;
   }
-  const SmrCounters& counters() const noexcept { return counters_; }
+  std::int64_t pending_nodes() const noexcept { return counters().pending; }
   asymfence::Path fence_path() const noexcept { return fence_path_; }
 
   // Observability (DESIGN.md §8): the per-handle cell list and the
@@ -150,10 +164,17 @@ class DomainCore {
   obs::StatsSnapshot stats() const {
     obs::StatsSnapshot s = stats_obs_.snapshot();
     s.enabled = SCOT_STATS != 0 && cfg_.track_stats;
-    s.pending = pending_nodes();
+    const SmrCounters c = counters();
+    s.pending = c.pending;
     s.pool_bytes = pool_.total_chunk_bytes();
-    s.retired_total = counters_.retired.load(std::memory_order_relaxed);
-    s.reclaimed_total = counters_.reclaimed.load(std::memory_order_relaxed);
+    s.retired_total = c.retired;
+    s.reclaimed_total = c.reclaimed;
+    // The cell-side retire/reclaim counts are the same books, minus the
+    // teardown frees (no scan made those).
+    if (s.enabled) {
+      s.retires = c.retired;
+      s.nodes_reclaimed = c.reclaimed - teardown_reclaimed_;
+    }
     return s;
   }
 
@@ -187,22 +208,26 @@ class DomainCore {
       freed += free_chain(r->handle.limbo_.take(), r->index);
     freed += free_chain(orphans_.take_all(), 0);
     freed += free_chain(bg_.mailbox.take_all(), 0);
-    counters_.on_free(freed, cfg_.track_stats);
+    if (cfg_.track_stats) teardown_reclaimed_ += freed;
   }
 
   SmrConfig cfg_;
   NodePool pool_;
-  SmrCounters counters_;
   // The era/epoch clock (EBR, HE, IBR, Hyaline); HP and NR never tick it.
-  std::atomic<std::uint64_t> clock_{1};
+  // Every begin_op and era-scheme retire reads it, so it gets a line of its
+  // own, shared only with the read-only fence path begin_op reads next to
+  // it; nothing written per operation may land here.
+  alignas(kFalseSharingRange) std::atomic<std::uint64_t> clock_{1};
   asymfence::Path fence_path_;
   // Declared before the registry: handles hold raw cell pointers, so the
   // cell list must be destroyed after the records are.
-  obs::DomainStats stats_obs_;
+  alignas(kFalseSharingRange) obs::DomainStats stats_obs_;
   HandleRegistry<Domain> registry_;
   OrphanList orphans_;
   ReclaimControl bg_;
   std::unique_ptr<DomainReclaimer<Domain>> reclaimer_;
+  // Nodes shutdown() freed (written only there, with no thread active).
+  std::uint64_t teardown_reclaimed_ = 0;
 
  private:
   std::uint64_t free_chain(ReclaimNode* n, unsigned shard) {

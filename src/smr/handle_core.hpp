@@ -90,7 +90,8 @@ class HandleCore {
   HandleCore(Domain* dom, unsigned tid)
       : stats_(dom->obs_stats().make_cell(dom->config().track_stats)),
         dom_(dom),
-        tid_(tid) {}
+        tid_(tid),
+        track_(dom->config().track_stats) {}
 
   HandleCore(const HandleCore&) = delete;
   HandleCore& operator=(const HandleCore&) = delete;
@@ -193,6 +194,19 @@ class HandleCore {
     a.store(a.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
   }
 
+  // The retire/free books behind pending_nodes() and the stats() totals.
+  // A free is published with a release store so that a reader summing the
+  // frees first (acquire) then the retires never counts a free whose
+  // retire it missed: the gauge can lag, but never reads negative.
+  void count_retire() noexcept {
+    if (track_) bump(retired_);
+  }
+  void count_reclaimed(std::uint64_t n) noexcept {
+    if (track_)
+      reclaimed_.store(reclaimed_.load(std::memory_order_relaxed) + n,
+                       std::memory_order_release);
+  }
+
   // Advances the domain's era/epoch clock once per effective era_freq calls
   // (the era-based schemes call it on retire and, for birth eras, alloc).
   void era_tick() noexcept {
@@ -210,6 +224,13 @@ class HandleCore {
   // Hyaline's unsealed batch.  DomainCore hands it off on leave() and frees
   // it at domain teardown.
   LimboList limbo_;
+  // Nodes this handle retired / freed (scans, Hyaline batch frees), summed
+  // over the registry by DomainCore::counters().  Single-writer, bumped
+  // only when the domain tracks stats (SCOT_STATS does not gate them), and
+  // cumulative across record reuse like the ds_* fields.
+  std::atomic<std::uint64_t> retired_{0};
+  std::atomic<std::uint64_t> reclaimed_{0};
+  bool track_;
 };
 
 // The limbo-list schemes (EBR, HP, HE, IBR): retire parks the node in the
@@ -238,8 +259,7 @@ class LimboHandle : public HandleCore<Domain, Derived> {
       obs::count(this->stats_, obs::Counter::kOrphanAdoptions);
       obs::trace_instant(obs::TraceKind::kAdopt);
     }
-    dom->counters_.on_retire(dom->cfg_.track_stats);
-    obs::count(this->stats_, obs::Counter::kRetires);
+    this->count_retire();
     obs::peak(this->stats_, this->limbo_.count);
     if constexpr (kRetireEra) this->era_tick();
     if (this->limbo_.count >= dom->bg_.effective_scan_threshold()) {

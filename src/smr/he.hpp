@@ -148,8 +148,8 @@ class HeDomain : public DomainCore<HeDomain> {
         }
         n = next;
       }
-      dom_->counters_.on_free(freed, dom_->cfg_.track_stats);
-      obs::scan_end(stats_, stats_t0, freed);
+      count_reclaimed(freed);
+      obs::scan_end(stats_, stats_t0);
     }
 
     // Leave pre-step: clear the era slots (no operation may be in flight).

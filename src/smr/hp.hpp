@@ -179,8 +179,8 @@ class HazardPointerDomain
           n = next;
         }
       }
-      dom_->counters_.on_free(freed, dom_->cfg_.track_stats);
-      obs::scan_end(stats_, stats_t0, freed);
+      this->count_reclaimed(freed);
+      obs::scan_end(stats_, stats_t0);
     }
 
     // Leave pre-step: clear the hazard slots (no operation may be in

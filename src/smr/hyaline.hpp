@@ -125,15 +125,13 @@ class HyalineDomain : public DomainCore<HyalineDomain> {
 
     void retire(ReclaimNode* n) {
       n->debug_state = kNodeRetired;
-      n->retire_era = dom_->clock_.load(std::memory_order_acquire);
       n->batch = nullptr;
       push_to_batch(n);
       if (!dom_->bg_.is_active() && adopt_all_mailboxes() > 0) {
         obs::count(stats_, obs::Counter::kOrphanAdoptions);
         obs::trace_instant(obs::TraceKind::kAdopt);
       }
-      dom_->counters_.on_retire(dom_->cfg_.track_stats);
-      obs::count(stats_, obs::Counter::kRetires);
+      count_retire();
       obs::peak(stats_, limbo_.count);
       era_tick();
       if (limbo_.count >= required_batch()) {
@@ -252,7 +250,7 @@ class HyalineDomain : public DomainCore<HyalineDomain> {
         // not enough member nodes to give every slot a distinct entry.
         // Keep accumulating; the next retire re-checks against the larger
         // required_batch().
-        obs::scan_end(stats_, stats_t0, 0);
+        obs::scan_end(stats_, stats_t0);
         return;
       }
       auto* bh = new BatchHandle;
@@ -286,7 +284,7 @@ class HyalineDomain : public DomainCore<HyalineDomain> {
           }
         }
       }
-      obs::scan_end(stats_, stats_t0, 0);
+      obs::scan_end(stats_, stats_t0);
       adjust(bh, inserted - kGuard);
     }
 
@@ -315,10 +313,9 @@ class HyalineDomain : public DomainCore<HyalineDomain> {
         n = next;
       }
       assert(freed == bh->count);
-      dom_->counters_.on_free(freed, dom_->cfg_.track_stats);
       // Charged to the handle that dropped the last reference ("reclamation
       // by any thread"), which is always the calling thread — single-writer.
-      obs::count(stats_, obs::Counter::kNodesReclaimed, freed);
+      count_reclaimed(freed);
       delete bh;
     }
 

@@ -128,8 +128,8 @@ class IbrDomain : public DomainCore<IbrDomain> {
         }
         n = next;
       }
-      dom_->counters_.on_free(freed, dom_->cfg_.track_stats);
-      obs::scan_end(stats_, stats_t0, freed);
+      count_reclaimed(freed);
+      obs::scan_end(stats_, stats_t0);
     }
 
     // Leave contract: no operation in flight (the interval is idle).

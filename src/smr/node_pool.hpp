@@ -93,24 +93,23 @@ class NodePool {
   void* alloc(unsigned tid, std::size_t size) {
     Shard& s = shard(tid);
     const std::size_t cls = class_of(size);
-    if (ReclaimNode* n = s.free_lists[cls]) {
-      s.free_lists[cls] = n->smr_next;
-      assert(n->debug_state == kNodeFreed);
-      ++s.reused;
-      return n;
-    }
+    ReclaimNode* n = s.free_lists[cls];
     // Local list dry: adopt one whole donated chain before carving.  The
     // gauge check keeps the no-depot case (background reclaim off) free of
     // any lock traffic.
-    if (depot_chains_.load(std::memory_order_relaxed) > 0) {
-      if (ReclaimNode* n = depot_take(cls)) {
-        s.free_lists[cls] = n->smr_next;
-        assert(n->debug_state == kNodeFreed);
-        ++s.reused;
-        return n;
-      }
-    }
-    return carve(s, cls);
+    if (n == nullptr && depot_chains_.load(std::memory_order_relaxed) > 0)
+      n = depot_take(cls);
+    if (n == nullptr) return carve(s, cls);
+    ReclaimNode* next = n->smr_next;
+    s.free_lists[cls] = next;
+    // Freed cells are cold by the time they are reused (a scan frees them
+    // ~scan_threshold retires later), so start fetching, for write, the
+    // cell the next alloc of this class will pop.  Prefetching null is a
+    // harmless no-op.
+    __builtin_prefetch(next, 1);
+    assert(n->debug_state == kNodeFreed);
+    ++s.reused;
+    return n;
   }
 
   // Returns a node to the freeing thread's shard.  The allocation header is
@@ -178,9 +177,19 @@ class NodePool {
       sum += shards_[i]->carved;
     return sum;
   }
+  std::uint64_t total_freed() const {
+    std::uint64_t sum = 0;
+    for (unsigned i = 0, n = shard_count(); i < n; ++i)
+      sum += shards_[i]->freed;
+    return sum;
+  }
 
   static constexpr std::size_t max_node_bytes() {
     return kNumClasses * kGranularity - sizeof(AllocHeader);
+  }
+  // Bytes of the cell that serves a `size`-byte node, header included.
+  static constexpr std::size_t cell_bytes(std::size_t size) {
+    return (class_of(size) + 1) * kGranularity;
   }
 
  private:

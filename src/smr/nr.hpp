@@ -49,8 +49,7 @@ class NoReclaimDomain : public DomainCore<NoReclaimDomain> {
 
     void retire(ReclaimNode* n) noexcept {
       n->debug_state = kNodeRetired;
-      dom_->counters_.on_retire(dom_->cfg_.track_stats);
-      obs::count(stats_, obs::Counter::kRetires);
+      count_retire();
     }
 
     // Background hooks: never run (NR never starts a reclaimer), but the

@@ -23,9 +23,14 @@
 namespace scot {
 
 struct ReclaimNode {
-  // Epoch/era at which the node was retired (EBR epoch, HE/IBR era).
-  // Written once by retire(); read only by reclamation scans.
-  std::uint64_t retire_era = 0;
+  // One word per scheme family; a domain only ever uses one of the two.
+  union {
+    // Epoch/era at which the node was retired (EBR epoch, HE/IBR era).
+    // Written once by retire(); read only by reclamation scans.
+    std::uint64_t retire_era = 0;
+    // Hyaline only: the batch handle holding the reference counter.
+    void* batch;
+  };
 
   // Multi-purpose link, used at mutually exclusive lifecycle stages:
   //  - limbo-list link (EBR/HP/HE/IBR),
@@ -38,15 +43,15 @@ struct ReclaimNode {
   // never shared between slots.
   ReclaimNode* slot_next = nullptr;
 
-  // Hyaline only: the batch handle holding the reference counter.
-  void* batch = nullptr;
-
   // Size the pool handed out for this node (excluding the allocation
   // header).  Needed so that type-erased reclamation paths (limbo scans,
   // Hyaline batch frees) can return the memory to the right size class.
   std::uint32_t alloc_size = 0;
   std::uint32_t debug_state = 0;  // lifecycle breadcrumb for assertions
 };
+// 32 bytes: a node with up to 64 bytes of its own fields fits a 96-byte
+// pool cell behind the 16-byte allocation header (the kv list node does).
+static_assert(sizeof(ReclaimNode) == 32);
 
 // Lifecycle breadcrumbs (debug only; checked by tests and assertions).
 enum : std::uint32_t {

@@ -1,7 +1,6 @@
 // Shared configuration knobs and statistics for all reclamation domains.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <string_view>
@@ -68,9 +67,10 @@ struct SmrConfig {
   // guarantees a distinct member node per reservation slot).
   unsigned batch_capacity = 0;
 
-  // Maintain the domain-wide pending-node gauge (+1 retire / -1 free).  The
-  // memory-overhead benchmarks sample it; throughput benchmarks may turn it
-  // off.  Reads are exact when quiescent, approximate otherwise.
+  // Keep the retire/free counts behind the pending-node gauge (per-handle,
+  // summed on read) and the obs counter cells.  The memory-overhead
+  // benchmarks sample the gauge; throughput benchmarks may turn it off.
+  // Reads are exact when quiescent, approximate otherwise.
   bool track_stats = true;
 
   // Asymmetric-fence fast path, covering both reader-side publications:
@@ -104,26 +104,13 @@ struct SmrConfig {
   std::uint64_t memory_target = 0;
 };
 
-// Domain-wide counters.  `pending` drives Figures 10-12 (average number of
-// retired-but-not-yet-reclaimed objects).
+// A value snapshot of a domain's retire/free books (DomainCore::counters()).
+// `pending` drives Figures 10-12 (average number of retired-but-not-yet-
+// reclaimed objects).
 struct SmrCounters {
-  std::atomic<std::int64_t> pending{0};
-  std::atomic<std::uint64_t> retired{0};
-  std::atomic<std::uint64_t> reclaimed{0};
-
-  void on_retire(bool track) noexcept {
-    if (track) {
-      pending.fetch_add(1, std::memory_order_relaxed);
-      retired.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  void on_free(std::uint64_t n, bool track) noexcept {
-    if (track && n > 0) {
-      pending.fetch_sub(static_cast<std::int64_t>(n),
-                        std::memory_order_relaxed);
-      reclaimed.fetch_add(n, std::memory_order_relaxed);
-    }
-  }
+  std::int64_t pending = 0;
+  std::uint64_t retired = 0;
+  std::uint64_t reclaimed = 0;
 };
 
 }  // namespace scot
