@@ -7,8 +7,7 @@
 // Both variants are registered AnyMap cells (StructureId::kHList with the
 // default traits, StructureId::kHListNoRecovery without the escape), so the
 // runs go through the same registry-driven run_case() as every figure
-// binary and the JSON cells carry distinct structure identities that
-// bench_diff keys on.
+// binary.
 #include <cstdio>
 
 #include "bench/fig_common.hpp"
@@ -17,7 +16,7 @@ using namespace scot;
 using namespace scot::bench;
 
 static CaseResult run_list(StructureId structure, unsigned threads,
-                           std::uint64_t range, int ms, const char* variant) {
+                           std::uint64_t range, int ms) {
   CaseConfig cfg;
   cfg.structure = structure;
   cfg.scheme = SchemeId::kHP;
@@ -26,13 +25,11 @@ static CaseResult run_list(StructureId structure, unsigned threads,
   cfg.millis = ms;
   cfg.runs = env_runs();
   apply_session_flags(cfg);
-  const CaseResult r = run_case(cfg);
-  fig_record(std::string("recovery ablation, ") + variant, cfg, r);
-  return r;
+  return run_case(cfg);
 }
 
 int main(int argc, char** argv) {
-  fig_init(argc, argv, "ablation_recovery");
+  fig_init(argc, argv);
   const int ms = env_ms(300);
   std::printf(
       "SCOT ablation — §3.2.1 recovery optimization (Harris list, HP)\n\n");
@@ -40,9 +37,9 @@ int main(int argc, char** argv) {
     Table t({"threads", "recovery Mops", "recovery restarts", "recoveries",
              "no-recovery Mops", "no-recovery restarts"});
     for (unsigned th : env_threads()) {
-      const CaseResult on = run_list(StructureId::kHList, th, range, ms, "on");
+      const CaseResult on = run_list(StructureId::kHList, th, range, ms);
       const CaseResult off =
-          run_list(StructureId::kHListNoRecovery, th, range, ms, "off");
+          run_list(StructureId::kHListNoRecovery, th, range, ms);
       t.add_row({std::to_string(th), format_double(on.mops, 2),
                  std::to_string(on.restarts), std::to_string(on.recoveries),
                  format_double(off.mops, 2), std::to_string(off.restarts)});
@@ -52,5 +49,5 @@ int main(int argc, char** argv) {
     t.print();
     std::printf("\n");
   }
-  return fig_finish();
+  return 0;
 }

@@ -7,8 +7,7 @@
 //
 // Both variants are registered AnyMap cells (StructureId::kHList unrolled,
 // StructureId::kHListSimple simple), so the runs go through the registry-
-// driven run_case() and the JSON cells carry distinct structure identities
-// that bench_diff keys on.
+// driven run_case() like every figure binary.
 #include <cstdio>
 
 #include "bench/fig_common.hpp"
@@ -17,8 +16,7 @@ using namespace scot;
 using namespace scot::bench;
 
 static CaseResult run_list(StructureId structure, unsigned threads,
-                           std::uint64_t range, int ms, SchemeId scheme,
-                           const char* variant) {
+                           std::uint64_t range, int ms, SchemeId scheme) {
   CaseConfig cfg;
   cfg.structure = structure;
   cfg.scheme = scheme;
@@ -27,13 +25,11 @@ static CaseResult run_list(StructureId structure, unsigned threads,
   cfg.millis = ms;
   cfg.runs = env_runs();
   apply_session_flags(cfg);
-  const CaseResult r = run_case(cfg);
-  fig_record(std::string("unroll ablation, ") + variant, cfg, r);
-  return r;
+  return run_case(cfg);
 }
 
 int main(int argc, char** argv) {
-  fig_init(argc, argv, "ablation_unroll");
+  fig_init(argc, argv);
   const int ms = env_ms(300);
   std::printf(
       "SCOT ablation — §3.2 unrolled (Fig 5 right) vs simple (Fig 5 left) "
@@ -43,9 +39,9 @@ int main(int argc, char** argv) {
       Table t({"threads", "unrolled Mops", "simple Mops", "speedup"});
       for (unsigned th : env_threads()) {
         const CaseResult fast =
-            run_list(StructureId::kHList, th, range, ms, scheme, "unrolled");
-        const CaseResult simple = run_list(StructureId::kHListSimple, th,
-                                           range, ms, scheme, "simple");
+            run_list(StructureId::kHList, th, range, ms, scheme);
+        const CaseResult simple =
+            run_list(StructureId::kHListSimple, th, range, ms, scheme);
         t.add_row({std::to_string(th), format_double(fast.mops, 2),
                    format_double(simple.mops, 2),
                    format_double(simple.mops > 0 ? fast.mops / simple.mops : 0,
@@ -57,5 +53,5 @@ int main(int argc, char** argv) {
       std::printf("\n");
     }
   }
-  return fig_finish();
+  return 0;
 }

@@ -3,7 +3,7 @@
 //     ./bench_cli <mode> <seconds> <keyrange> <runs> <read%> <ins%> <del%>
 //                 <SCHEME> <threads> [--flags]
 //
-// e.g.   ./bench_cli listlf 2 512 1 50 25 25 EBR 4 --seed 7 --json out.json
+// e.g.   ./bench_cli listlf 2 512 1 50 25 25 EBR 4 --seed 7
 //
 // Modes: listlf  — Harris list with SCOT, lock-free traversals
 //        listwf  — Harris list with SCOT, wait-free traversals
@@ -12,14 +12,14 @@
 //        hash    — hash map over SCOT lists
 //        skip    — skip list, Fraser-style traversal with SCOT
 //        skiphs  — skip list, Herlihy-Shavit eager unlink (baseline)
+//        queue stack deque — the containers (<read%> must be 0)
 // Schemes: NR EBR HP HPopt HE IBR HLN
 //
 // Optional flags (see kFlagUsage): --seed for reproducible key streams,
-// --json for the scot-bench telemetry sink, --dist/--theta for Zipfian
-// keys, --preset to override the positional mix, --pin for thread
-// affinity, --ops for a fixed per-thread operation budget instead of a
-// timed run.  Unknown or malformed flags are an error (exit 2), never
-// silently ignored.
+// --dist/--theta for Zipfian keys, --preset to override the positional
+// mix, --pin for thread affinity, --ops for a fixed per-thread operation
+// budget instead of a timed run.  Unknown or malformed flags are an error
+// (exit 2), never silently ignored.
 //
 // Parsing lives in src/bench/options.hpp (parse_cli) so it is
 // unit-testable; this file only reports the result.
@@ -28,7 +28,6 @@
 #include <string>
 
 #include "bench/options.hpp"
-#include "bench/report/report.hpp"
 #include "bench/runner.hpp"
 
 using namespace scot::bench;
@@ -37,7 +36,7 @@ static void usage(const char* argv0, int code) {
   std::fprintf(code == 0 ? stdout : stderr,
                "usage: %s %s\n"
                "       %s\n"
-               "e.g.:  %s listlf 2 512 1 50 25 25 EBR 4 --json out.json\n",
+               "e.g.:  %s listlf 2 512 1 50 25 25 EBR 4 --seed 7\n",
                argv0, kCliUsage, kFlagUsage, argv0);
   std::exit(code);
 }
@@ -70,19 +69,5 @@ int main(int argc, char** argv) {
               r.avg_pending, static_cast<long long>(r.peak_pending),
               static_cast<unsigned long long>(r.restarts),
               static_cast<unsigned long long>(r.recoveries));
-
-  if (!flags.json_path.empty()) {
-    BenchReport report;
-    report.add("cli",
-               std::string(structure_name(cfg->structure)) + " under " +
-                   scheme_name(cfg->scheme),
-               *cfg, r);
-    if (!report.write_file(flags.json_path, &error)) {
-      std::fprintf(stderr, "%s: failed to write %s: %s\n", argv[0],
-                   flags.json_path.c_str(), error.c_str());
-      return 1;
-    }
-    std::printf("wrote 1 cell to %s\n", flags.json_path.c_str());
-  }
   return 0;
 }

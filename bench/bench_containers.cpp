@@ -19,7 +19,7 @@ using namespace scot::bench;
 
 // run_grid() with the container twists: the workload is a push/pop mix
 // (read% pinned to 0) and the split flag is forced per grid so one
-// invocation emits both workload variants for the CI artifact.
+// invocation prints both workload variants.
 void run_container_grid(const char* title, scot::StructureId structure,
                         std::uint64_t range, int def_ms, bool split) {
   const auto threads = env_threads();
@@ -60,7 +60,6 @@ void run_container_grid(const char* title, scot::StructureId structure,
       cfg.scheme = s;
       cfg.threads = th;
       const CaseResult r = run_case(cfg);
-      fig_record(title, cfg, r);
       row.push_back(format_double(r.mops, 2));
     }
     t.add_row(std::move(row));
@@ -72,7 +71,7 @@ void run_container_grid(const char* title, scot::StructureId structure,
 }  // namespace
 
 int main(int argc, char** argv) {
-  fig_init(argc, argv, "containers");
+  fig_init(argc, argv);
   std::printf(
       "SCOT reproduction — scheme x container grid (queue/stack/deque)\n\n");
   struct Grid {
@@ -95,5 +94,5 @@ int main(int argc, char** argv) {
     run_container_grid(g.mixed_title, g.structure, 2048, 300, false);
     run_container_grid(g.split_title, g.structure, 2048, 300, true);
   }
-  return fig_finish();
+  return 0;
 }

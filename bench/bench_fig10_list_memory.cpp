@@ -6,7 +6,7 @@
 
 int main(int argc, char** argv) {
   using namespace scot::bench;
-  fig_init(argc, argv, "fig10");
+  fig_init(argc, argv);
   std::printf("SCOT reproduction — Figure 10 (list memory overhead)\n\n");
   GridSpec a{"Fig 10a: Harris-Michael list, range 512", StructureId::kHMList,
              512, Metric::kAvgPending};
@@ -24,5 +24,5 @@ int main(int argc, char** argv) {
              StructureId::kHListWF, 10000, Metric::kAvgPending};
   d.include_nr = false;
   run_grid(d, 300);
-  return fig_finish();
+  return 0;
 }

@@ -5,7 +5,7 @@
 
 int main(int argc, char** argv) {
   using namespace scot::bench;
-  fig_init(argc, argv, "fig11");
+  fig_init(argc, argv);
   std::printf("SCOT reproduction — Figure 11 (NMTree memory overhead)\n\n");
   GridSpec a{"Fig 11a: NMTree, range 128", StructureId::kNMTree, 128,
              Metric::kAvgPending};
@@ -15,5 +15,5 @@ int main(int argc, char** argv) {
              Metric::kAvgPending};
   b.include_nr = false;
   run_grid(b, 400);
-  return fig_finish();
+  return 0;
 }

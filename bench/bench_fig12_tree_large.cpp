@@ -11,7 +11,7 @@
 int main(int argc, char** argv) {
   using namespace scot::bench;
   constexpr std::uint64_t kRange = 2000000;  // paper: 50,000,000 (see above)
-  fig_init(argc, argv, "fig12");
+  fig_init(argc, argv);
   std::printf("SCOT reproduction — Figure 12 (NMTree, out-of-cache range)\n\n");
   run_grid({"Fig 12a: NMTree throughput, range 2,000,000",
             StructureId::kNMTree, kRange},
@@ -20,5 +20,5 @@ int main(int argc, char** argv) {
                StructureId::kNMTree, kRange, Metric::kAvgPending};
   mem.include_nr = false;
   run_grid(mem, 500);
-  return fig_finish();
+  return 0;
 }

@@ -7,7 +7,7 @@
 
 int main(int argc, char** argv) {
   using namespace scot::bench;
-  fig_init(argc, argv, "fig8");
+  fig_init(argc, argv);
   std::printf("SCOT reproduction — Figure 8 (list throughput, 50r/25i/25d)\n\n");
   run_grid({"Fig 8a: Harris-Michael list, range 512", StructureId::kHMList,
             512},
@@ -21,5 +21,5 @@ int main(int argc, char** argv) {
   run_grid({"Fig 8b: Harris list (SCOT, wait-free search), range 10,000",
             StructureId::kHListWF, 10000},
            300);
-  return fig_finish();
+  return 0;
 }

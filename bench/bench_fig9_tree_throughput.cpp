@@ -6,10 +6,10 @@
 
 int main(int argc, char** argv) {
   using namespace scot::bench;
-  fig_init(argc, argv, "fig9");
+  fig_init(argc, argv);
   std::printf("SCOT reproduction — Figure 9 (NMTree throughput, 50r/25i/25d)\n\n");
   run_grid({"Fig 9a: NMTree, range 128", StructureId::kNMTree, 128}, 300);
   run_grid({"Fig 9b: NMTree, range 100,000", StructureId::kNMTree, 100000},
            400);
-  return fig_finish();
+  return 0;
 }

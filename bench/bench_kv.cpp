@@ -7,9 +7,7 @@
 // Unlike the figure binaries this one does not go through run_case(): the
 // measured loop speaks the string-keyed KvStore session surface directly,
 // but reuses the harness calibration (detail::smr_config_for), the zipfian
-// generator, the latency histograms, and median_of_runs, and records
-// schema-compatible scot-bench cells (bench tag "kv"; cell keys carry the
-// |vs/|kl/|sh suffixes so integer-keyed baselines diff clean).
+// generator, the latency histograms, and median_of_runs.
 //
 // Serving shape defaults: zipfian key choice (YCSB's default; --dist
 // uniform overrides), 16-byte keys ("user" + zero-padded id; --key-len),
@@ -253,7 +251,6 @@ void run_kv_grid(const KvPreset& preset, unsigned shards, int def_ms) {
       cfg.threads = th;
       const CaseResult r = detail::median_of_runs(
           cfg, [&](std::uint64_t seed) { return run_one_kv(cfg, seed); });
-      fig_record(title, cfg, r);
       row.push_back(format_double(r.mops, 2));
     }
     t.add_row(std::move(row));
@@ -272,10 +269,10 @@ int main(int argc, char** argv) {
   bool dist_given = false;
   for (int i = 1; i < argc; ++i)
     if (std::strcmp(argv[i], "--dist") == 0) dist_given = true;
-  fig_init(argc, argv, "kv");
-  if (!dist_given) fig_session().flags.dist = KeyDist::kZipfian;
+  fig_init(argc, argv);
+  if (!dist_given) session_flags().dist = KeyDist::kZipfian;
 
-  const BenchFlags& flags = fig_session().flags;
+  const BenchFlags& flags = session_flags();
   std::vector<KvPreset> presets;
   for (const KvPreset& p : kKvPresets) {
     if (flags.preset && (flags.preset->read_pct != p.mix.read_pct ||
@@ -295,5 +292,5 @@ int main(int argc, char** argv) {
 
   for (const KvPreset& p : presets)
     for (unsigned shards : shard_counts) run_kv_grid(p, shards, 200);
-  return fig_finish();
+  return 0;
 }

@@ -3,9 +3,9 @@
 // Every cell runs the standard harness workload (mixed 50/25/25 by default)
 // with the runner's latency sampler on: every Nth operation is timed into a
 // log-bucketed histogram (obs/histogram.hpp) and the merged p50/p99/p999
-// land in the scot-bench v2 cells.  This is the reclamation tail-latency
-// view the throughput figures hide — a scheme whose scans stall readers
-// shows up here as a p999 spike long before it dents Mops.
+// print per scheme.  This is the reclamation tail-latency view the
+// throughput figures hide — a scheme whose scans stall readers shows up
+// here as a p999 spike long before it dents Mops.
 //
 // --trace <path> additionally writes the Chrome trace-event JSON of every
 // SMR event ring (scan/seal/barrier spans, join/leave/adopt instants) after
@@ -40,7 +40,7 @@ int run(int argc, char** argv) {
       rest.push_back(argv[i]);
     }
   }
-  fig_init(static_cast<int>(rest.size()), rest.data(), "latency");
+  fig_init(static_cast<int>(rest.size()), rest.data());
 
   const auto threads = env_threads();
   const unsigned th = threads.back();  // deepest configured thread count
@@ -71,7 +71,6 @@ int run(int argc, char** argv) {
       CaseConfig cfg = proto;
       cfg.scheme = s;
       const CaseResult r = run_case(cfg);
-      fig_record(title, cfg, r);
       t.add_row({scheme_name(s), format_double(r.p50_ns, 0),
                  format_double(r.p99_ns, 0), format_double(r.p999_ns, 0),
                  format_double(r.mops, 2)});
@@ -81,7 +80,6 @@ int run(int argc, char** argv) {
                 "bucket error)\n\n");
   }
 
-  const int rc = fig_finish();
   if (!trace_path.empty()) {
     const auto& log = scot::obs::TraceLog::instance();
     if (!log.export_chrome(trace_path)) {
@@ -93,7 +91,7 @@ int run(int argc, char** argv) {
                 trace_path.c_str(),
                 SCOT_TRACE ? "" : " (build with -DSCOT_TRACE=ON to record)");
   }
-  return rc;
+  return 0;
 }
 
 }  // namespace

@@ -10,7 +10,7 @@
 
 int main(int argc, char** argv) {
   using namespace scot::bench;
-  fig_init(argc, argv, "table2");
+  fig_init(argc, argv);
   const auto threads = env_threads();
   const int ms = env_ms(400);
   std::printf(
@@ -28,10 +28,8 @@ int main(int argc, char** argv) {
 
     cfg.structure = StructureId::kHMList;
     const CaseResult hm = run_case(cfg);
-    fig_record("Table 2: HMList restarts under HP", cfg, hm);
     cfg.structure = StructureId::kHListWF;
     const CaseResult hl = run_case(cfg);
-    fig_record("Table 2: HList restarts under HP", cfg, hl);
 
     const double hm_pct =
         hm.total_ops ? 100.0 * static_cast<double>(hm.restarts) /
@@ -50,5 +48,5 @@ int main(int argc, char** argv) {
   std::printf(
       "\n(restart%% = full traversal restarts / operations; the paper reports "
       "0%%->8.19%% for HMList and ~0%% for HList)\n");
-  return fig_finish();
+  return 0;
 }

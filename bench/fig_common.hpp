@@ -1,9 +1,8 @@
 // Shared scaffolding for the figure-reproduction binaries: one table per
 // (structure, key range), rows = thread counts, columns = SMR schemes —
-// the same series the paper plots.  Every binary funnels through
-// fig_init() / fig_record() / fig_finish(), which parse the shared
-// optional flags (--json, --seed, --dist, ...) and write the scot-bench
-// JSON report when requested.
+// the same series the paper plots.  Every binary parses the shared optional
+// flags (--seed, --dist, --pin, ...) once in fig_init() and applies them to
+// each case through apply_session_flags().
 #pragma once
 
 #include <cstdio>
@@ -12,39 +11,31 @@
 #include <vector>
 
 #include "bench/options.hpp"
-#include "bench/report/report.hpp"
 #include "bench/runner.hpp"
 #include "bench/table.hpp"
+#include "common/asymfence.hpp"
 
 namespace scot::bench {
 
-// Per-binary session: flags parsed once in fig_init(), cells recorded by
-// run_grid()/fig_record(), JSON written by fig_finish().
-struct FigSession {
-  std::string bench;  // binary family tag in the report, e.g. "fig8"
-  BenchFlags flags;
-  BenchReport report;
-};
-
-inline FigSession& fig_session() {
-  static FigSession s;
-  return s;
+// The binary's flags, parsed once by fig_init().
+inline BenchFlags& session_flags() {
+  static BenchFlags flags;
+  return flags;
 }
 
 // Parses the shared optional flags.  Exits 0 on --help, 2 on an unknown or
 // malformed flag or on stray positional arguments (the figure binaries
 // take none) — never silently ignores input.
-inline void fig_init(int argc, char** argv, const char* bench) {
-  FigSession& s = fig_session();
-  s.bench = bench;
+inline void fig_init(int argc, char** argv) {
+  BenchFlags& flags = session_flags();
   std::vector<std::string> args(argv + 1, argv + argc);
   std::string error;
-  if (!extract_bench_flags(args, s.flags, &error)) {
+  if (!extract_bench_flags(args, flags, &error)) {
     std::fprintf(stderr, "%s: %s\nusage: %s %s\n", argv[0], error.c_str(),
                  argv[0], kFlagUsage);
     std::exit(2);
   }
-  if (s.flags.help) {
+  if (flags.help) {
     std::printf("usage: %s %s\n", argv[0], kFlagUsage);
     std::exit(0);
   }
@@ -58,7 +49,7 @@ inline void fig_init(int argc, char** argv, const char* bench) {
 // Copies the session flags into a case: seed, key distribution, pinning,
 // op budget, and (when --preset was given) the workload mix.
 inline void apply_session_flags(CaseConfig& cfg) {
-  const BenchFlags& f = fig_session().flags;
+  const BenchFlags& f = session_flags();
   cfg.seed = f.seed;
   cfg.key_dist = f.dist;
   cfg.zipf_theta = f.zipf_theta;
@@ -81,27 +72,6 @@ inline void apply_session_flags(CaseConfig& cfg) {
     cfg.insert_pct = f.preset->insert_pct;
     cfg.delete_pct = f.preset->delete_pct;
   }
-}
-
-inline void fig_record(const std::string& label, const CaseConfig& cfg,
-                       const CaseResult& result) {
-  FigSession& s = fig_session();
-  s.report.add(s.bench, label, cfg, result);
-}
-
-// Writes the JSON report when --json was given; returns main()'s exit code.
-inline int fig_finish() {
-  FigSession& s = fig_session();
-  if (s.flags.json_path.empty()) return 0;
-  std::string error;
-  if (!s.report.write_file(s.flags.json_path, &error)) {
-    std::fprintf(stderr, "failed to write %s: %s\n",
-                 s.flags.json_path.c_str(), error.c_str());
-    return 1;
-  }
-  std::printf("wrote %zu cell(s) to %s\n", s.report.cells().size(),
-              s.flags.json_path.c_str());
-  return 0;
 }
 
 enum class Metric { kThroughputMops, kAvgPending };
@@ -143,7 +113,7 @@ inline void run_grid(const GridSpec& spec, int def_ms) {
   if (proto.pin_threads) std::printf(" pinned");
   if (!proto.asymmetric_fences) std::printf(" no-asym");
   if (proto.background_reclaim) std::printf(" bg-reclaim");
-  std::printf("\n");
+  std::printf(" fence=%s\n", asymfence::runtime_path_name());
 
   std::vector<std::string> header{"threads"};
   std::vector<SchemeId> schemes;
@@ -160,7 +130,6 @@ inline void run_grid(const GridSpec& spec, int def_ms) {
       cfg.scheme = s;
       cfg.threads = th;
       const CaseResult r = run_case(cfg);
-      fig_record(spec.title, cfg, r);
       row.push_back(spec.metric == Metric::kThroughputMops
                         ? format_double(r.mops, 2)
                         : format_double(r.avg_pending, 0));

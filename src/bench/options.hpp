@@ -108,16 +108,14 @@ struct CaseConfig {
   bool background_reclaim = smr_config_detail::bg_reclaim_default();
   unsigned reclaim_interval_us = 100;   // --reclaim-interval-us <n>
   std::uint64_t memory_target = 0;      // --memory-target <nodes>; 0 = off
-  // Serving-layer (bench_kv) shape.  0 means "not a kv case": the fields
-  // stay out of cell keys and JSON diffs for the integer-keyed binaries,
-  // so pre-v4 baselines keep diffing clean.
+  // Serving-layer (bench_kv) shape.  0 means "not a kv case" (the
+  // integer-keyed binaries never read these).
   std::size_t value_size = 0;   // --value-size <bytes>: kv value payload
   std::size_t key_len = 0;      // --key-len <bytes>: kv key width (padded)
   unsigned kv_shards = 0;       // --shards <n>: KvStore shard count
   // Container (queue/stack/deque) cases only: --split pins each worker to
   // one role — even workers push, odd workers pop — instead of the
-  // per-op insert/delete roll.  Ignored (and absent from cell keys) for
-  // map/kv cases, so pre-v5 baselines keep diffing clean.
+  // per-op insert/delete roll.  Ignored for map/kv cases.
   bool split_workload = false;
 };
 
@@ -125,8 +123,7 @@ struct CaseResult {
   double mops = 0;  // million operations per second (median run)
   std::uint64_t total_ops = 0;
   double seconds = 0;
-  double ns_per_op = 0;      // derived: seconds / total_ops (0 if no ops)
-  double cycles_per_op = 0;  // micro-SMR cells only (TSC); 0 elsewhere
+  double ns_per_op = 0;  // derived: seconds / total_ops (0 if no ops)
   double avg_pending = 0;  // mean not-yet-reclaimed nodes over samples
   std::int64_t peak_pending = 0;
   std::uint64_t restarts = 0;
@@ -136,9 +133,9 @@ struct CaseResult {
   std::uint64_t reads = 0;
   std::uint64_t inserts = 0;
   std::uint64_t removes = 0;
-  // Sampled per-operation latency percentiles (schema v2; 0 when sampling
-  // is off).  Bucket midpoints of the merged worker histograms, so values
-  // carry the ≤6.25% relative bucket error documented in obs/histogram.hpp.
+  // Sampled per-operation latency percentiles (0 when sampling is off).
+  // Bucket midpoints of the merged worker histograms, so values carry the
+  // ≤6.25% relative bucket error documented in obs/histogram.hpp.
   double p50_ns = 0;
   double p99_ns = 0;
   double p999_ns = 0;
@@ -161,6 +158,12 @@ inline constexpr const char* kCliUsage =
     "<listlf|listwf|listhm|tree|hash|skip|skiphs|queue|stack|deque> "
     "<seconds> <keyrange> "
     "<runs> <read%> <ins%> <del%> <NR|EBR|HP|HPopt|HE|IBR|HLN> <threads>";
+
+// Cap on every thread count the harness accepts (CLI <threads> and
+// SCOT_BENCH_THREADS).  Every domain allocates per-thread state arrays sized
+// by max_threads, so a huge-but-representable count is a memory bomb rather
+// than merely slow.
+inline constexpr long long kMaxThreads = 4096;
 
 // Whole-string decimal parse; rejects "", " 42", "4x", "1.5", overflow.
 inline bool parse_decimal(std::string_view sv, long long& out) {
@@ -203,10 +206,9 @@ inline bool parse_double(std::string_view sv, double& out) {
 
 struct BenchFlags {
   std::uint64_t seed = 42;             // --seed <n>
-  std::string json_path;               // --json <path>; empty = no sink
   KeyDist dist = KeyDist::kUniform;    // --dist uniform|zipfian
   double zipf_theta = 0.99;            // --theta <0<θ<1>
-  std::optional<WorkloadMix> preset;   // --preset mixed|read-mostly|write-heavy
+  std::optional<WorkloadMix> preset;   // --preset <name>; preset_from_name
   bool pin = false;                    // --pin: worker-thread CPU affinity
   std::uint64_t op_budget = 0;         // --ops <per-thread count>; 0 = timed
   bool asym = true;                    // --no-asym: classic seq_cst protect
@@ -224,7 +226,7 @@ struct BenchFlags {
 };
 
 inline constexpr const char* kFlagUsage =
-    "[--seed <n>] [--json <path>] [--dist uniform|zipfian] [--theta <0..1>] "
+    "[--seed <n>] [--dist uniform|zipfian] [--theta <0..1>] "
     "[--preset mixed|read-mostly|write-heavy|ycsb-a|ycsb-b|ycsb-c] [--pin] "
     "[--ops <n>] [--no-asym|--asym] [--bg|--no-bg] "
     "[--reclaim-interval-us <n>] [--memory-target <nodes>] "
@@ -288,10 +290,6 @@ inline bool extract_bench_flags(std::vector<std::string>& args,
       if (!v || !parse_decimal(*v, n) || n < 0)
         return fail("--seed needs a non-negative integer");
       out.seed = static_cast<std::uint64_t>(n);
-    } else if (a == "--json") {
-      const std::string* v = next_value();
-      if (!v || v->empty()) return fail("--json needs a file path");
-      out.json_path = *v;
     } else if (a == "--dist") {
       const std::string* v = next_value();
       std::optional<KeyDist> d;
@@ -308,7 +306,9 @@ inline bool extract_bench_flags(std::vector<std::string>& args,
       const std::string* v = next_value();
       std::optional<WorkloadMix> p;
       if (!v || !(p = preset_from_name(*v)))
-        return fail("--preset needs mixed, read-mostly, or write-heavy");
+        return fail(
+            "--preset needs mixed, read-mostly, write-heavy, ycsb-a, "
+            "ycsb-b, or ycsb-c");
       out.preset = p;
     } else if (a == "--ops") {
       const std::string* v = next_value();
@@ -376,12 +376,8 @@ inline std::optional<CaseConfig> parse_cli(int argc, const char* const* argv,
 
   // Upper bounds guard the narrowing casts below: cfg.millis is an int and
   // cfg.runs/cfg.threads are unsigned, so "positive" alone is not enough.
-  // Threads get a much tighter cap: every domain allocates per-thread state
-  // arrays sized by max_threads, so a huge-but-representable count is a
-  // memory bomb rather than merely slow.
   constexpr long long kMaxSeconds = std::numeric_limits<int>::max() / 1000;
   constexpr long long kMaxUnsigned = std::numeric_limits<unsigned>::max();
-  constexpr long long kMaxThreads = 4096;
 
   long long seconds, range, runs, read, ins, del, threads;
   if (!parse_decimal(args[1], seconds) || seconds <= 0 ||
@@ -456,18 +452,29 @@ inline std::optional<CaseConfig> parse_cli(int argc, const char* const* argv,
 // SCOT_BENCH_MS        per-cell duration in milliseconds (default `def_ms`)
 // SCOT_BENCH_THREADS   comma list of thread counts (default "1,2,4,8")
 // SCOT_BENCH_RUNS      runs per cell, median reported (default 1)
+// A value that is not a whole decimal in range falls back to the default;
+// SCOT_BENCH_THREADS drops each token that is not one in [1, kMaxThreads].
+
+// The value of environment variable `name` when it is a whole decimal in
+// [1, max]; nullopt when it is unset or anything else.
+inline std::optional<long long> env_positive(const char* name,
+                                             long long max) {
+  long long v = 0;
+  const char* e = std::getenv(name);
+  if (e && parse_decimal(e, v) && v > 0 && v <= max) return v;
+  return std::nullopt;
+}
 
 inline int env_ms(int def_ms) {
-  if (const char* e = std::getenv("SCOT_BENCH_MS")) return std::atoi(e);
-  return def_ms;
+  return static_cast<int>(
+      env_positive("SCOT_BENCH_MS", std::numeric_limits<int>::max())
+          .value_or(def_ms));
 }
 
 inline unsigned env_runs() {
-  if (const char* e = std::getenv("SCOT_BENCH_RUNS")) {
-    const int v = std::atoi(e);
-    if (v > 0) return static_cast<unsigned>(v);
-  }
-  return 1;
+  return static_cast<unsigned>(
+      env_positive("SCOT_BENCH_RUNS", std::numeric_limits<unsigned>::max())
+          .value_or(1));
 }
 
 inline std::vector<unsigned> env_threads() {
@@ -479,10 +486,9 @@ inline std::vector<unsigned> env_threads() {
     const std::size_t comma = spec.find(',', pos);
     const std::string tok =
         spec.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    if (!tok.empty()) {
-      const long v = std::strtol(tok.c_str(), nullptr, 10);
-      if (v > 0) out.push_back(static_cast<unsigned>(v));
-    }
+    long long v = 0;
+    if (parse_decimal(tok, v) && v > 0 && v <= kMaxThreads)
+      out.push_back(static_cast<unsigned>(v));
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }

@@ -24,8 +24,8 @@ CaseResult run_one_any_map(const CaseConfig& cfg, std::uint64_t run_seed) {
   if (!map) {
     // The v1 per-scheme switch could not miss a case without a compiler
     // warning; the runtime registry can (a dropped registration line).
-    // Emitting a fake 0.0-Mops cell would poison JSON reports and
-    // baselines, so fail loudly instead.
+    // Printing a fake 0.0-Mops cell would poison the figure tables, so
+    // fail loudly instead.
     std::fprintf(stderr,
                  "run_case: no registered AnyMap cell for %s/%s — "
                  "check src/core/any_map.cpp registrations\n",
@@ -76,8 +76,6 @@ CaseResult run_one_any(const CaseConfig& cfg, std::uint64_t run_seed) {
 }  // namespace
 
 CaseResult run_case(const CaseConfig& cfg) {
-  if (cfg.structure == StructureId::kNone)
-    return {};  // micro-SMR cells are never run through the harness
   return detail::median_of_runs(
       cfg, [&](std::uint64_t seed) { return run_one_any(cfg, seed); });
 }

@@ -7,7 +7,7 @@
 // dispatch sits only at operation granularity (one indirect call per
 // insert/erase/contains/get); inside an operation the fully typed traversal
 // runs, protect() included, so the PR 3 asymmetric-fence fast path is
-// untouched (acceptance-checked by bench_micro_smr against BENCH_pr3.json).
+// untouched (bench_micro_smr's protect/<scheme> cases measure it).
 //
 // Threading contract.  Each worker thread opens an `AnyMap::Session`
 // (`map.session()`), which joins the underlying domain's dynamic handle

@@ -4,13 +4,13 @@
 // scot::AnyContainer).
 //
 // Like src/smr/registry.hpp this is the single source of truth for structure
-// identity: the bench options, the JSON reports and the paper CLI mode
+// identity: the bench options, the bench tables and the paper CLI mode
 // spellings all resolve through the tables here.  Structures are grouped by
 // *container concept* (ContainerKind): uint64-keyed maps, string-keyed kv
 // shards, and the queue/stack/deque shapes each have their own iteration
 // table and their own factory registry, because their op surfaces differ —
-// but they share one StructureId namespace so JSON cell keys, CLI names and
-// grid labels never collide across concepts.
+// but they share one StructureId namespace so CLI names and grid labels
+// never collide across concepts.
 //
 // The factory tables are genuine *runtime* registries — src/core/any_map.cpp,
 // src/kv/any_kv.cpp and src/core/any_container.cpp populate their scheme ×
@@ -106,9 +106,9 @@ inline constexpr StructureId kAllStructures[] = {
     StructureId::kSkipListEager};
 
 // Trait-ablation variants of the Harris list (bench_ablation_*): registered,
-// name-resolvable identities so their JSON cells diff cleanly, but — like
-// kNone — deliberately absent from kAllStructures, so no figure grid or
-// cross-product test ever iterates them.
+// name-resolvable identities, but — like kNone — deliberately absent from
+// kAllStructures, so no figure grid or cross-product test ever iterates
+// them.
 inline constexpr StructureId kAblationStructures[] = {
     StructureId::kHListNoRecovery, StructureId::kHListSimple};
 
@@ -148,10 +148,9 @@ inline const char* structure_name(StructureId s) noexcept {
   return "?";
 }
 
-// Reverse of structure_name(); used when loading JSON reports.  "none", the
-// ablation variants, the kv structures and the container structures are all
-// resolvable (their cells carry these names) even though only kAllStructures
-// feeds the map-shaped figure grids.
+// Reverse of structure_name().  "none", the ablation variants, the kv
+// structures and the container structures are all resolvable even though
+// only kAllStructures feeds the map-shaped figure grids.
 inline std::optional<StructureId> structure_from_name(std::string_view name) {
   if (name == structure_name(StructureId::kNone)) return StructureId::kNone;
   for (StructureId s : kAblationStructures) {

@@ -4,7 +4,7 @@
 // `SchemeId` used to live in the bench layer (src/bench/options.hpp), which
 // meant the CLI owned the scheme name table while the SMR layer only knew
 // types.  API v2 inverts that: this header is the single source of truth for
-// scheme identity — the bench options, the JSON reports, the `scot::AnyMap`
+// scheme identity — the bench options, the bench tables, the `scot::AnyMap`
 // facade and the examples all resolve names through it.  Adding a scheme is
 // one enum value + one `kSchemeInfos` row here, plus one registration line
 // in src/core/any_map.cpp (see DESIGN.md §6 for the full recipe).

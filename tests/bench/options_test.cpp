@@ -284,7 +284,7 @@ TEST(Options, SplitFlagIsRejectedForMapModes) {
   EXPECT_NE(error.find("--split"), std::string::npos) << error;
 }
 
-// --- optional flag layer (--seed/--json/--dist/...) -----------------------
+// --- optional flag layer (--seed/--dist/--preset/...) ---------------------
 
 TEST(Options, UnknownFlagsAreRejectedNotIgnored) {
   auto args = kGoodArgs;
@@ -293,6 +293,12 @@ TEST(Options, UnknownFlagsAreRejectedNotIgnored) {
   EXPECT_FALSE(parse(args, &error).has_value());
   EXPECT_NE(error.find("unknown flag '--frobnicate'"), std::string::npos)
       << error;
+  // The harness has no report sink: --json is unknown like any other.
+  auto json_args = kGoodArgs;
+  json_args.push_back("--json");
+  json_args.push_back("x");
+  EXPECT_FALSE(parse(json_args, &error).has_value());
+  EXPECT_NE(error.find("unknown flag '--json'"), std::string::npos) << error;
 }
 
 TEST(Options, SeedFlagPlumbsIntoConfig) {
@@ -311,7 +317,7 @@ TEST(Options, MalformedFlagValuesAreRejected) {
     const char* value;  // nullptr = flag given without a value
   } cases[] = {
       {"--seed", "abc"},    {"--seed", "-1"},      {"--seed", nullptr},
-      {"--json", nullptr},  {"--dist", "normal"},  {"--dist", nullptr},
+      {"--dist", "normal"}, {"--dist", nullptr},
       {"--theta", "0"},     {"--theta", "1"},      {"--theta", "1.5"},
       {"--theta", "x"},     {"--preset", "spicy"}, {"--preset", nullptr},
       {"--ops", "0"},       {"--ops", "-5"},       {"--ops", "1x"},
@@ -320,8 +326,8 @@ TEST(Options, MalformedFlagValuesAreRejected) {
       {"--key-len", "0"},        {"--key-len", "1025"},
       {"--key-len", nullptr},    {"--shards", "0"},
       {"--shards", "65537"},     {"--shards", nullptr},
-      // A following flag is not a value: --json must not swallow --pin.
-      {"--json", "--pin"},  {"--seed", "--pin"},
+      // A following flag is not a value: --seed must not swallow --pin.
+      {"--seed", "--pin"},
   };
   for (const auto& c : cases) {
     auto args = kGoodArgs;
@@ -403,9 +409,8 @@ TEST(Options, MicroStructureNoneResolvesButIsNotIterable) {
 
 TEST(Options, AblationStructuresResolveButStayOutOfGrids) {
   // The trait-ablation identities (bench_ablation_*) must round-trip
-  // through the name table — their JSON cells are loaded strictly by
-  // bench_diff — but never appear in the figure grids or the AnyMap
-  // cross-product tests.
+  // through the name table, but never appear in the figure grids or the
+  // AnyMap cross-product tests.
   EXPECT_EQ(structure_from_name("HListNoRec"),
             StructureId::kHListNoRecovery);
   EXPECT_EQ(structure_from_name("HListSimple"), StructureId::kHListSimple);
@@ -417,19 +422,6 @@ TEST(Options, AblationStructuresResolveButStayOutOfGrids) {
     EXPECT_FALSE(structure_from_mode(structure_name(a)).has_value())
         << "ablation variants are not paper-CLI modes";
   }
-}
-
-TEST(Options, JsonPathSurfacesThroughBenchFlags) {
-  auto args = kGoodArgs;
-  args.push_back("--json");
-  args.push_back("out.json");
-  args.insert(args.begin(), "bench_cli");
-  std::string error;
-  BenchFlags flags;
-  const auto cfg = parse_cli(static_cast<int>(args.size()), args.data(),
-                             &error, &flags);
-  ASSERT_TRUE(cfg.has_value()) << error;
-  EXPECT_EQ(flags.json_path, "out.json");
 }
 
 TEST(Options, HelpFlagSurfacesEvenThoughParseFails) {
@@ -449,6 +441,17 @@ TEST(Options, PresetNamesResolve) {
   EXPECT_EQ(preset_from_name("write-heavy")->read_pct, 10);
   EXPECT_FALSE(preset_from_name("MIXED").has_value()) << "case-exact";
   EXPECT_FALSE(preset_from_name("").has_value());
+  // A rejected --preset names every preset preset_from_name accepts.
+  auto args = kGoodArgs;
+  args.push_back("--preset");
+  args.push_back("spicy");
+  std::string error;
+  EXPECT_FALSE(parse(args, &error).has_value());
+  for (const char* name : {"mixed", "read-mostly", "write-heavy", "ycsb-a",
+                           "ycsb-b", "ycsb-c"}) {
+    EXPECT_TRUE(preset_from_name(name).has_value()) << name;
+    EXPECT_NE(error.find(name), std::string::npos) << error;
+  }
 }
 
 TEST(Options, YcsbPresetsResolveWithNoDeletes) {

@@ -1,9 +1,8 @@
 // Reproducibility contract of the bench harness: with --seed fixed and an
 // op budget (op_budget != 0, runs == 1), two runs of the same cell execute
 // bit-identical per-thread key/op streams, so the op counts — total and
-// per-type — must match exactly.  This is what makes a committed
-// BENCH_baseline.json comparable across machines and what the --seed CLI
-// flag promises.
+// per-type — must match exactly.  This is what makes a fixed-seed run
+// comparable across machines and what the --seed CLI flag promises.
 #include <gtest/gtest.h>
 
 #include "bench/options.hpp"

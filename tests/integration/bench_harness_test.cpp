@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <vector>
 
 #include "bench/options.hpp"
 #include "bench/runner.hpp"
@@ -79,6 +80,16 @@ TEST(BenchHarness, EnvThreadParsing) {
   EXPECT_EQ(v[2], 7u);
   setenv("SCOT_BENCH_THREADS", "garbage", 1);
   EXPECT_FALSE(env_threads().empty()) << "falls back to defaults";
+  // Tokens that are not whole decimals in [1, kMaxThreads] are dropped
+  // (only parsed here: no case ever runs with such a count).
+  const std::vector<unsigned> defaults{1, 2, 4, 8};
+  setenv("SCOT_BENCH_THREADS", "4x", 1);
+  EXPECT_EQ(env_threads(), defaults) << "'4x' is not 4";
+  setenv("SCOT_BENCH_THREADS", "0", 1);
+  EXPECT_EQ(env_threads(), defaults);
+  setenv("SCOT_BENCH_THREADS", "1,100000,2", 1);
+  EXPECT_EQ(env_threads(), (std::vector<unsigned>{1, 2}))
+      << "a count past kMaxThreads is a memory bomb, not a grid row";
   unsetenv("SCOT_BENCH_THREADS");
   EXPECT_EQ(env_threads().size(), 4u);
 }
@@ -86,6 +97,12 @@ TEST(BenchHarness, EnvThreadParsing) {
 TEST(BenchHarness, EnvMsAndRuns) {
   setenv("SCOT_BENCH_MS", "123", 1);
   EXPECT_EQ(env_ms(999), 123);
+  // Garbage, zero and negative durations fall back, as SCOT_BENCH_RUNS
+  // does: a 0 ms cell would measure nothing.
+  for (const char* bad : {"garbage", "0", "-5"}) {
+    setenv("SCOT_BENCH_MS", bad, 1);
+    EXPECT_EQ(env_ms(999), 999) << bad;
+  }
   unsetenv("SCOT_BENCH_MS");
   EXPECT_EQ(env_ms(999), 999);
   setenv("SCOT_BENCH_RUNS", "5", 1);
