@@ -57,8 +57,6 @@ inline void apply_session_flags(CaseConfig& cfg) {
   cfg.op_budget = f.op_budget;
   cfg.asymmetric_fences = f.asym;
   cfg.background_reclaim = f.bg;
-  cfg.reclaim_interval_us = f.reclaim_interval_us;
-  cfg.memory_target = f.memory_target;
   // Serving-layer shape (bench_kv).  --shards is grid state, not case
   // state — bench_kv picks its shard counts before building cases — so
   // only the per-case knobs flow through here.

@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   if (argc > 2) {
     auto d = structure_from_mode(argv[2]);
     if (!d) d = structure_from_name(argv[2]);
-    if (!d || *d == StructureId::kNone) {
+    if (!d) {
       std::fprintf(stderr, "unknown structure '%s' (try listlf listwf listhm "
                    "tree hash skip skiphs)\n", argv[2]);
       return 2;

@@ -4,7 +4,7 @@
 // underneath it.
 //
 //   ./examples/kv_serving            # defaults: IBR, 4 shards
-//   ./examples/kv_serving HP 8
+//   ./examples/kv_serving HP 8       # shards: 1..64
 //
 // Each worker opens one store.session() (joining every shard's SMR domain
 // once) and then routes by key hash: top 16 bits pick the shard, the rest
@@ -34,8 +34,20 @@ int main(int argc, char** argv) {
     }
     scheme = *s;
   }
-  if (argc > 2) shards = static_cast<unsigned>(std::atoi(argv[2]));
-  if (shards == 0) shards = 1;
+  if (argc > 2) {
+    // A whole decimal in [1, 64]: every shard is a domain (and, under
+    // SCOT_BG=1, a reclaimer thread), so a typo must not become billions.
+    const char* arg = argv[2];
+    char* end = nullptr;
+    long n = 0;  // strtol alone would skip spaces and take a sign
+    if (arg[0] >= '0' && arg[0] <= '9') n = std::strtol(arg, &end, 10);
+    if (n < 1 || n > 64 || *end != '\0') {
+      std::fprintf(stderr, "shards must be a whole number in [1, 64], got "
+                   "'%s'\n", argv[2]);
+      return 2;
+    }
+    shards = static_cast<unsigned>(n);
+  }
 
   KvStoreOptions options;
   options.smr.max_threads = 8;
@@ -84,5 +96,9 @@ int main(int argc, char** argv) {
   const auto hit = session.get("user1");  // 1 % 7 != 0, still present
   std::printf("get(\"user1\") -> %s\n",
               hit ? hit->c_str() : "(absent)");
+  session.reset();
+  // The shards' SMR telemetry, merged: retires, scans, pending nodes and
+  // pool_bytes (the node pool's mapped chunks).
+  std::printf("%s", store->stats().to_string().c_str());
   return 0;
 }

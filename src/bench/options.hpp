@@ -106,8 +106,6 @@ struct CaseConfig {
   // SCOT_BG environment opt-in so existing invocations are unchanged;
   // --bg/--no-bg override per run.
   bool background_reclaim = smr_config_detail::bg_reclaim_default();
-  unsigned reclaim_interval_us = 100;   // --reclaim-interval-us <n>
-  std::uint64_t memory_target = 0;      // --memory-target <nodes>; 0 = off
   // Serving-layer (bench_kv) shape.  0 means "not a kv case" (the
   // integer-keyed binaries never read these).
   std::size_t value_size = 0;   // --value-size <bytes>: kv value payload
@@ -214,8 +212,6 @@ struct BenchFlags {
   bool asym = true;                    // --no-asym: classic seq_cst protect
   bool bg = smr_config_detail::bg_reclaim_default();
                                        // --bg/--no-bg: background reclaimer
-  unsigned reclaim_interval_us = 100;  // --reclaim-interval-us <n>
-  std::uint64_t memory_target = 0;     // --memory-target <nodes>; 0 = off
   std::size_t value_size = 0;          // --value-size <bytes>; 0 = binary's
                                        // default (kv binaries only)
   std::size_t key_len = 0;             // --key-len <bytes>; 0 = default
@@ -229,7 +225,6 @@ inline constexpr const char* kFlagUsage =
     "[--seed <n>] [--dist uniform|zipfian] [--theta <0..1>] "
     "[--preset mixed|read-mostly|write-heavy|ycsb-a|ycsb-b|ycsb-c] [--pin] "
     "[--ops <n>] [--no-asym|--asym] [--bg|--no-bg] "
-    "[--reclaim-interval-us <n>] [--memory-target <nodes>] "
     "[--value-size <bytes>] [--key-len <bytes>] [--shards <n>] [--split] "
     "[--help]";
 
@@ -271,19 +266,6 @@ inline bool extract_bench_flags(std::vector<std::string>& args,
       out.bg = false;
     } else if (a == "--split") {
       out.split = true;
-    } else if (a == "--reclaim-interval-us") {
-      const std::string* v = next_value();
-      long long n = 0;
-      if (!v || !parse_decimal(*v, n) || n <= 0 ||
-          n > std::numeric_limits<unsigned>::max())
-        return fail("--reclaim-interval-us needs a positive interval");
-      out.reclaim_interval_us = static_cast<unsigned>(n);
-    } else if (a == "--memory-target") {
-      const std::string* v = next_value();
-      long long n = 0;
-      if (!v || !parse_decimal(*v, n) || n <= 0)
-        return fail("--memory-target needs a positive node count");
-      out.memory_target = static_cast<std::uint64_t>(n);
     } else if (a == "--seed") {
       const std::string* v = next_value();
       long long n = 0;
@@ -420,8 +402,6 @@ inline std::optional<CaseConfig> parse_cli(int argc, const char* const* argv,
   cfg.op_budget = flags.op_budget;
   cfg.asymmetric_fences = flags.asym;
   cfg.background_reclaim = flags.bg;
-  cfg.reclaim_interval_us = flags.reclaim_interval_us;
-  cfg.memory_target = flags.memory_target;
   cfg.value_size = flags.value_size;
   cfg.key_len = flags.key_len;
   cfg.kv_shards = flags.kv_shards;

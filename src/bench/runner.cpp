@@ -67,8 +67,6 @@ CaseResult run_one_any(const CaseConfig& cfg, std::uint64_t run_seed) {
                    "not the integer-keyed harness\n",
                    structure_name(cfg.structure));
       std::exit(2);
-    case ContainerKind::kNone:
-      break;
   }
   return {};
 }

@@ -76,8 +76,6 @@ inline SmrConfig smr_config_for(const CaseConfig& cfg) {
   scfg.track_stats = cfg.sample_memory;
   scfg.asymmetric_fences = cfg.asymmetric_fences;
   scfg.background_reclaim = cfg.background_reclaim;
-  scfg.reclaim_interval_us = cfg.reclaim_interval_us;
-  scfg.memory_target = cfg.memory_target;
   return scfg;
 }
 

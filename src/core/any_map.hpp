@@ -64,7 +64,7 @@ class AnyMap {
   using Value = std::uint64_t;
 
   // Builds the (scheme, structure) cell through the runtime registry.
-  // Returns nullopt for unregistered cells (e.g. StructureId::kNone).
+  // Returns nullopt for unregistered cells (e.g. a queue StructureId).
   // Defined in src/core/any_map.cpp, the only TU that pays for the cross
   // product's template instantiations.
   static std::optional<AnyMap> make(SchemeId scheme, StructureId structure,

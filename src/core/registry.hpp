@@ -48,7 +48,6 @@ enum class StructureId {
   kMSQueue,         // Michael-Scott queue (core/ms_queue.hpp, DESIGN.md §11)
   kTreiberStack,    // Treiber stack (core/treiber_stack.hpp)
   kDeque,           // Michael CAS-based deque (core/deque.hpp)
-  kNone,            // SMR-layer microbench cells (no data structure)
 };
 
 // The container concept a StructureId belongs to.  Grids, CLI resolution,
@@ -61,7 +60,6 @@ enum class ContainerKind {
   kQueue,  // FIFO: push_back / pop_front (scot::AnyQueue)
   kStack,  // LIFO: push_front / pop_front (scot::AnyStack)
   kDeque,  // both ends (scot::AnyDeque)
-  kNone,   // StructureId::kNone — no data structure at all
 };
 
 inline ContainerKind container_kind(StructureId s) noexcept {
@@ -79,9 +77,8 @@ inline ContainerKind container_kind(StructureId s) noexcept {
     case StructureId::kMSQueue: return ContainerKind::kQueue;
     case StructureId::kTreiberStack: return ContainerKind::kStack;
     case StructureId::kDeque: return ContainerKind::kDeque;
-    case StructureId::kNone: return ContainerKind::kNone;
   }
-  return ContainerKind::kNone;
+  return ContainerKind::kMap;  // unreachable: the switch is exhaustive
 }
 
 inline const char* container_kind_name(ContainerKind k) noexcept {
@@ -91,7 +88,6 @@ inline const char* container_kind_name(ContainerKind k) noexcept {
     case ContainerKind::kQueue: return "queue";
     case ContainerKind::kStack: return "stack";
     case ContainerKind::kDeque: return "deque";
-    case ContainerKind::kNone: return "none";
   }
   return "?";
 }
@@ -106,7 +102,7 @@ inline constexpr StructureId kAllStructures[] = {
     StructureId::kSkipListEager};
 
 // Trait-ablation variants of the Harris list (bench_ablation_*): registered,
-// name-resolvable identities, but — like kNone — deliberately absent from
+// name-resolvable identities, but deliberately absent from
 // kAllStructures, so no figure grid or cross-product test ever iterates
 // them.
 inline constexpr StructureId kAblationStructures[] = {
@@ -143,16 +139,14 @@ inline const char* structure_name(StructureId s) noexcept {
     case StructureId::kMSQueue: return "MSQueue";
     case StructureId::kTreiberStack: return "TreiberStack";
     case StructureId::kDeque: return "Deque";
-    case StructureId::kNone: return "none";
   }
   return "?";
 }
 
-// Reverse of structure_name().  "none", the ablation variants, the kv
-// structures and the container structures are all resolvable even though
-// only kAllStructures feeds the map-shaped figure grids.
+// Reverse of structure_name().  The ablation variants, the kv structures
+// and the container structures are all resolvable even though only
+// kAllStructures feeds the map-shaped figure grids.
 inline std::optional<StructureId> structure_from_name(std::string_view name) {
-  if (name == structure_name(StructureId::kNone)) return StructureId::kNone;
   for (StructureId s : kAblationStructures) {
     if (name == structure_name(s)) return s;
   }

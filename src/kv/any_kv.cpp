@@ -98,6 +98,7 @@ std::optional<AnyKv> AnyKv::make(SchemeId scheme, StructureId structure,
 std::optional<KvStore> KvStore::make(SchemeId scheme, StructureId structure,
                                      const KvStoreOptions& options) {
   const unsigned n = options.shards == 0 ? 1 : options.shards;
+  if (n > kMaxShards) return std::nullopt;
   AnyKvOptions shard_options;
   shard_options.smr = options.smr;  // per-shard SmrConfig inheritance
   shard_options.initial_buckets = options.initial_buckets_per_shard;

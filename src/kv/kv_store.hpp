@@ -45,9 +45,13 @@ struct KvStoreOptions {
 
 class KvStore {
  public:
+  // The router picks a shard from the top 16 bits of the key hash, so no
+  // shard past this many could ever be addressed.
+  static constexpr unsigned kMaxShards = 1u << 16;
+
   // Builds `shards` registry cells of (scheme, structure).  Returns nullopt
-  // for unregistered cells.  Defined in src/kv/any_kv.cpp next to the
-  // factory table.
+  // for unregistered cells and for more than kMaxShards shards.  Defined in
+  // src/kv/any_kv.cpp next to the factory table.
   static std::optional<KvStore> make(SchemeId scheme, StructureId structure,
                                      const KvStoreOptions& options = {});
 

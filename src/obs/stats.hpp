@@ -47,11 +47,9 @@ enum class Counter : unsigned {
   kScans,             // reclamation attempts (limbo scans / batch seals)
   kHeavyBarriers,     // process-wide heavy barriers issued (asym path)
   kEraAdvances,       // global era/epoch clock ticks by this handle
-  kOrphanDonations,   // leave() handoffs into the orphan mailbox
+  kOrphanDonations,   // leave() handoffs into the retire mailbox
   kOrphanAdoptions,   // retire()-side adoptions out of the mailbox
   kBgRounds,          // background-reclaimer rounds (service thread only)
-  kBgBatchesAdopted,  // donated limbo/batch chains the reclaimer consumed
-  kBgAdaptations,     // adaptive threshold changes (DESIGN.md §9)
   kCount_
 };
 inline constexpr unsigned kCounterCount =
@@ -67,8 +65,6 @@ inline constexpr const char* counter_name(Counter c) noexcept {
     case Counter::kOrphanDonations: return "orphan_donations";
     case Counter::kOrphanAdoptions: return "orphan_adoptions";
     case Counter::kBgRounds: return "bg_rounds";
-    case Counter::kBgBatchesAdopted: return "bg_batches_adopted";
-    case Counter::kBgAdaptations: return "bg_adaptations";
     case Counter::kCount_: break;
   }
   return "?";
@@ -102,8 +98,6 @@ struct StatsSnapshot {
   std::uint64_t orphan_donations = 0;
   std::uint64_t orphan_adoptions = 0;
   std::uint64_t bg_rounds = 0;
-  std::uint64_t bg_batches_adopted = 0;
-  std::uint64_t bg_adaptations = 0;
   std::uint64_t limbo_peak = 0;     // max across cells
   std::int64_t pending = 0;         // retired_total - reclaimed_total
   std::uint64_t pool_bytes = 0;     // NodePool chunk bytes mapped (gauge)
@@ -132,8 +126,6 @@ struct StatsSnapshot {
     orphan_donations += o.orphan_donations;
     orphan_adoptions += o.orphan_adoptions;
     bg_rounds += o.bg_rounds;
-    bg_batches_adopted += o.bg_batches_adopted;
-    bg_adaptations += o.bg_adaptations;
     limbo_peak = limbo_peak > o.limbo_peak ? limbo_peak : o.limbo_peak;
     pending += o.pending;
     pool_bytes += o.pool_bytes;
@@ -156,8 +148,6 @@ struct StatsSnapshot {
       case Counter::kOrphanDonations: return orphan_donations;
       case Counter::kOrphanAdoptions: return orphan_adoptions;
       case Counter::kBgRounds: return bg_rounds;
-      case Counter::kBgBatchesAdopted: return bg_batches_adopted;
-      case Counter::kBgAdaptations: return bg_adaptations;
       case Counter::kCount_: break;
     }
     return 0;
@@ -239,8 +229,6 @@ class DomainStats {
       s.orphan_donations += load(c, Counter::kOrphanDonations);
       s.orphan_adoptions += load(c, Counter::kOrphanAdoptions);
       s.bg_rounds += load(c, Counter::kBgRounds);
-      s.bg_batches_adopted += load(c, Counter::kBgBatchesAdopted);
-      s.bg_adaptations += load(c, Counter::kBgAdaptations);
       const std::uint64_t peak =
           c->limbo_peak.load(std::memory_order_relaxed);
       if (peak > s.limbo_peak) s.limbo_peak = peak;

@@ -4,9 +4,9 @@
 // (derived from HandleCore or LimboHandle, smr/handle_core.hpp).  The core
 // owns everything that is not scheme logic: configuration, node pool, the
 // retire/free books, the era/epoch clock, the handle registry with
-// join/leave, the orphan mailbox, the background reclaimer's lifecycle,
-// teardown drain and the observability snapshot.  The scheme keeps its reservation, protect
-// and scan (or batch) logic.
+// join/leave, the retire mailbox, the background reclaimer's lifecycle,
+// teardown drain and the observability snapshot.  The scheme keeps its
+// reservation, protect and scan (or batch) logic.
 //
 // Lifetime: the core is constructed before and destroyed after the scheme's
 // own members, so the service thread must run only while both are alive.
@@ -56,22 +56,18 @@ class DomainCore {
   }
 
   // Contract: no operation in flight.  After the scheme's pre-step, the
-  // retires the handle still owns go to the background reclaimer when it
-  // runs; otherwise a final inline reclaim frees what it can and the rest
-  // is donated to the orphan mailbox for adoption by the next retirer.
-  // The record is then released for reuse.
+  // retires the handle still owns are donated to the retire mailbox: whole,
+  // for the background reclaimer when it runs; otherwise after a final
+  // inline reclaim, for adoption by the next retirer.  The record is then
+  // released for reuse.
   template <class Handle>
   void leave(Handle& h) {
     h.prepare_leave();
     if (h.limbo_.count > 0) {
-      if (bg_.is_active()) {
-        donate_limbo(h.limbo_, bg_.mailbox);
-        bg_.thread.ring();
+      if (!bg_.active) h.reclaim_on_leave();
+      if (donate_limbo(h.limbo_, mailbox_) > 0) {
+        if (bg_.active) bg_.thread.ring();
         obs::count(h.stats_, obs::Counter::kOrphanDonations);
-      } else {
-        h.reclaim_on_leave();
-        if (donate_limbo(h.limbo_, orphans_) > 0)
-          obs::count(h.stats_, obs::Counter::kOrphanDonations);
       }
     }
     obs::count(h.stats_, obs::Counter::kLeaves);
@@ -101,40 +97,6 @@ class DomainCore {
     for (const auto* r = registry_.head(); r != nullptr; r = r->next_record())
       n += r->handle.ds_recoveries.load(std::memory_order_relaxed);
     return n;
-  }
-
-  // --- background reclamation (smr/reclaimer.hpp, DESIGN.md §9) -----------
-  ReclaimControl& reclaim_control() noexcept { return bg_; }
-  bool background_active() const noexcept { return bg_.is_active(); }
-  BgReclaimStats background_stats() const noexcept { return bg_stats_of(bg_); }
-  bool counts_heavy_barrier_per_reclaim() const noexcept {
-    return fence_path_ != asymfence::Path::kClassic;
-  }
-
-  // Launches the service thread (no-op when already running).  Not
-  // thread-safe against a concurrent start/stop — one controller thread,
-  // the same contract as domain construction; safe against concurrent
-  // mutator operations.
-  void start_background_reclaimer() {
-    if (bg_.thread.running()) return;
-    if (!reclaimer_)
-      reclaimer_ = std::make_unique<DomainReclaimer<Domain>>(
-          *static_cast<Domain*>(this));
-    bg_.active.store(true, std::memory_order_release);
-    bg_.thread.start(cfg_.reclaim_interval_us,
-                     [this] { reclaimer_->round(); });
-  }
-
-  // Stops and joins the service thread, runs a final synchronous drain and
-  // releases the reclaimer's handle.  Mutators revert to inline scanning
-  // and re-adopt anything still parked in the background mailbox.
-  void stop_background_reclaimer() {
-    bg_.active.store(false, std::memory_order_release);
-    bg_.thread.stop();
-    if (reclaimer_) {
-      reclaimer_->detach();
-      reclaimer_.reset();
-    }
   }
 
   const SmrConfig& config() const noexcept { return cfg_; }
@@ -187,27 +149,32 @@ class DomainCore {
   explicit DomainCore(const SmrConfig& cfg)
       : cfg_(cfg),
         pool_(cfg.max_threads),
-        fence_path_(asymfence::resolve(cfg.asymmetric_fences)) {
-    bg_.scan_threshold.store(cfg_.scan_threshold, std::memory_order_relaxed);
-    bg_.era_freq.store(cfg_.era_freq, std::memory_order_relaxed);
-  }
+        fence_path_(asymfence::resolve(cfg.asymmetric_fences)),
+        bg_(cfg.background_reclaim) {}
   ~DomainCore() = default;
 
-  // End of the scheme constructor: start the reclaimer if configured.
+  // End of the scheme constructor: join the reclaimer's handle and launch
+  // the service thread if configured.  It then runs until shutdown().
   void start_configured() {
-    if (cfg_.background_reclaim) start_background_reclaimer();
+    if (!bg_.active) return;
+    reclaimer_ =
+        std::make_unique<DomainReclaimer<Domain>>(*static_cast<Domain*>(this));
+    bg_.thread.start([this] { reclaimer_->round(); });
   }
 
-  // Scheme destructor: stop the reclaimer, then free every retired node
-  // still owned by a record or parked in either mailbox (no thread is
-  // active any more).
+  // Scheme destructor: stop the reclaimer and leave its handle, then free
+  // every retired node still owned by a record or parked in the mailbox
+  // (no thread is active any more).
   void shutdown() {
-    stop_background_reclaimer();
+    if (reclaimer_) {
+      bg_.thread.stop();
+      reclaimer_->detach();
+      reclaimer_.reset();
+    }
     std::uint64_t freed = 0;
     for (auto* r = registry_.head(); r != nullptr; r = r->next_record())
       freed += free_chain(r->handle.limbo_.take(), r->index);
-    freed += free_chain(orphans_.take_all(), 0);
-    freed += free_chain(bg_.mailbox.take_all(), 0);
+    freed += free_chain(mailbox_.take_all(), 0);
     if (cfg_.track_stats) teardown_reclaimed_ += freed;
   }
 
@@ -223,7 +190,8 @@ class DomainCore {
   // cell list must be destroyed after the records are.
   alignas(kFalseSharingRange) obs::DomainStats stats_obs_;
   HandleRegistry<Domain> registry_;
-  OrphanList orphans_;
+  // leave() donations and, with the reclaimer on, full limbo lists.
+  RetireMailbox mailbox_;
   ReclaimControl bg_;
   std::unique_ptr<DomainReclaimer<Domain>> reclaimer_;
   // Nodes shutdown() freed (written only there, with no thread active).

@@ -28,8 +28,8 @@ class DomainCore;
 
 // Intrusive singly-linked list of retired nodes awaiting reclamation.  The
 // tail pointer (the oldest node — push prepends) makes whole-chain donation
-// to a RetireMailbox O(1), which the background-reclaim hot path relies on:
-// with the reclaimer active every threshold-ful of retires donates the full
+// to the retire mailbox O(1), which the background-reclaim hot path relies
+// on: with the reclaimer on every threshold-ful of retires donates the full
 // chain instead of scanning (smr/reclaimer.hpp, DESIGN.md §9).
 struct LimboList {
   ReclaimNode* head = nullptr;
@@ -52,11 +52,10 @@ struct LimboList {
   }
 };
 
-// Donates a limbo list's whole chain to a retire mailbox — the domain's
-// orphan mailbox on leave(), or the background reclaimer's mailbox on the
-// donate-instead-of-scan hot path — and resets the list.  O(1): one CAS
-// push of the [head .. tail] chain.  Returns the number of nodes donated
-// (0 = no donation happened).
+// Donates a limbo list's whole chain to the domain's retire mailbox — on
+// leave(), or on the background reclaimer's donate-instead-of-scan hot
+// path — and resets the list.  O(1): one CAS push of the [head .. tail]
+// chain.  Returns the number of nodes donated (0 = no donation happened).
 inline unsigned donate_limbo(LimboList& limbo,
                              RetireMailbox& mailbox) noexcept {
   const unsigned donated = limbo.count;
@@ -66,15 +65,17 @@ inline unsigned donate_limbo(LimboList& limbo,
   return donated;
 }
 
-// Adopts every orphaned retire into `limbo` (the limbo-list schemes' side of
-// the handoff; Hyaline splices into its batch instead).  Returns the number
-// of nodes adopted (0 = the mailbox was raced empty).
-inline unsigned adopt_orphans(OrphanList& orphans, LimboList& limbo) noexcept {
-  ReclaimNode* n = orphans.take_all();
+// Takes every chain parked in `mailbox` and hands its nodes one at a time
+// to `push` (the adopter's limbo list, or Hyaline's batch).  Returns the
+// number of nodes adopted (0 = the mailbox was empty or raced empty).
+template <class Push>
+unsigned adopt_mailbox(RetireMailbox& mailbox, Push&& push) noexcept {
+  if (mailbox.empty()) return 0;
+  ReclaimNode* n = mailbox.take_all();
   unsigned adopted = 0;
   while (n != nullptr) {
     ReclaimNode* next = n->smr_next;
-    limbo.push(n);
+    push(n);
     ++adopted;
     n = next;
   }
@@ -207,10 +208,10 @@ class HandleCore {
                        std::memory_order_release);
   }
 
-  // Advances the domain's era/epoch clock once per effective era_freq calls
-  // (the era-based schemes call it on retire and, for birth eras, alloc).
+  // Advances the domain's era/epoch clock once per era_freq calls (the
+  // era-based schemes call it on retire and, for birth eras, alloc).
   void era_tick() noexcept {
-    if (++tick_ >= dom_->bg_.effective_era_freq()) {
+    if (++tick_ >= dom_->cfg_.era_freq) {
       tick_ = 0;
       dom_->clock_.fetch_add(1, std::memory_order_acq_rel);
       obs::count(stats_, obs::Counter::kEraAdvances);
@@ -252,23 +253,22 @@ class LimboHandle : public HandleCore<Domain, Derived> {
     if constexpr (kRetireEra)
       n->retire_era = dom->clock_.load(std::memory_order_acquire);
     this->limbo_.push(n);
-    // With the background reclaimer active, mailbox adoption is its job;
-    // when inactive, retirers self-heal both mailboxes (leave() orphans
-    // and anything stranded in the background mailbox by a stop).
-    if (!dom->bg_.is_active() && adopt_all_mailboxes() > 0) {
+    // With the background reclaimer on, mailbox adoption is its job;
+    // otherwise retirers adopt what departed threads left behind.
+    if (!dom->bg_.active && adopt() > 0) {
       obs::count(this->stats_, obs::Counter::kOrphanAdoptions);
       obs::trace_instant(obs::TraceKind::kAdopt);
     }
     this->count_retire();
     obs::peak(this->stats_, this->limbo_.count);
     if constexpr (kRetireEra) this->era_tick();
-    if (this->limbo_.count >= dom->bg_.effective_scan_threshold()) {
-      if (dom->bg_.is_active()) {
+    if (this->limbo_.count >= dom->cfg_.scan_threshold) {
+      if (dom->bg_.active) {
         // Donate the whole chain (one CAS) and ring the doorbell: no scan,
         // no reservation snapshot, and on the asymmetric path no heavy
         // barrier on this (or any) mutator — the service thread issues one
         // barrier for the entire adopted backlog.
-        donate_limbo(this->limbo_, dom->bg_.mailbox);
+        donate_limbo(this->limbo_, dom->mailbox_);
         dom->bg_.thread.ring();
       } else {
         this->derived()->scan();
@@ -283,7 +283,7 @@ class LimboHandle : public HandleCore<Domain, Derived> {
 
   // --- background-reclaimer hooks (service thread only; DESIGN.md §9) -----
   // Adopt every donated chain into this handle's limbo list.
-  unsigned bg_collect() { return adopt_all_mailboxes(); }
+  unsigned bg_collect() { return adopt(); }
   // Run the shared scan (one heavy barrier) if there is a backlog.
   bool bg_reclaim() {
     if (this->limbo_.count == 0) return false;
@@ -292,16 +292,9 @@ class LimboHandle : public HandleCore<Domain, Derived> {
   }
 
  private:
-  // Drains both shared mailboxes into the private limbo list; returns the
-  // number of nodes adopted.
-  unsigned adopt_all_mailboxes() {
-    Domain* dom = this->dom_;
-    unsigned adopted = 0;
-    if (!dom->orphans_.empty())
-      adopted += adopt_orphans(dom->orphans_, this->limbo_);
-    if (!dom->bg_.mailbox.empty())
-      adopted += adopt_orphans(dom->bg_.mailbox, this->limbo_);
-    return adopted;
+  unsigned adopt() {
+    return adopt_mailbox(this->dom_->mailbox_,
+                         [this](ReclaimNode* n) { this->limbo_.push(n); });
   }
 };
 

@@ -26,9 +26,9 @@
 //  * `ScopedHandle` / `scoped_handle(domain)` — the RAII join/leave
 //    spelling.
 //
-//  * `OrphanList` — the domain-side mailbox a departing thread donates its
-//    unreclaimed retires to; any later retirer adopts them (Hyaline-style
-//    handoff generalized to every scheme).
+//  * `RetireMailbox` — the domain-side mailbox a departing thread donates
+//    its unreclaimed retires to; any later retirer adopts them (Hyaline-
+//    style handoff generalized to every scheme).
 //
 // Memory-ordering contract (the late-joiner argument, DESIGN.md §7):
 // `append` publishes a new record with a seq_cst CAS on the list head, and
@@ -253,14 +253,14 @@ template <class Domain>
   return ScopedHandle<Domain>(d);
 }
 
-// MPSC mailbox of retired-node chains, the handoff primitive for both
-// custody transfers in the library:
+// MPSC mailbox of retired-node chains, one per domain, the handoff
+// primitive for every custody transfer in the library:
 //
-//  * orphan custody — leave() donates the departing thread's leftover chain;
+//  * reclaimer off — leave() donates the departing thread's leftover chain;
 //    the next retire() on any live handle adopts the lot;
-//  * background reclamation (smr/reclaimer.hpp, DESIGN.md §9) — mutators
-//    donate their full limbo/batch chains so the domain's service thread
-//    reclaims them off the operation path.
+//  * reclaimer on (smr/reclaimer.hpp, DESIGN.md §9) — leave() and every
+//    full limbo/batch chain are donated, and only the domain's service
+//    thread adopts, reclaiming them off the operation path.
 //
 // donate() is one CAS push of a whole chain (linked through smr_next);
 // take_all() transfers everything to exactly one consumer.  The release/
@@ -287,7 +287,6 @@ class RetireMailbox {
       last->smr_next = h;
     } while (!head_.compare_exchange_weak(h, first, std::memory_order_release,
                                           std::memory_order_relaxed));
-    donations_.fetch_add(1, std::memory_order_relaxed);
   }
 
   // Adopts everything donated so far; returns the chain head (nullptr if
@@ -296,19 +295,8 @@ class RetireMailbox {
     return head_.exchange(nullptr, std::memory_order_acquire);
   }
 
-  // Cumulative donate() count (telemetry: the reclaimer's batches-adopted
-  // stat; approximate while donors run).
-  std::uint64_t donations() const noexcept {
-    return donations_.load(std::memory_order_relaxed);
-  }
-
  private:
   std::atomic<ReclaimNode*> head_{nullptr};
-  std::atomic<std::uint64_t> donations_{0};
 };
-
-// Historical name: the orphan mailbox was the first RetireMailbox use; the
-// background reclaimer generalized it.
-using OrphanList = RetireMailbox;
 
 }  // namespace scot

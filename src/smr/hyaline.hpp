@@ -127,7 +127,7 @@ class HyalineDomain : public DomainCore<HyalineDomain> {
       n->debug_state = kNodeRetired;
       n->batch = nullptr;
       push_to_batch(n);
-      if (!dom_->bg_.is_active() && adopt_all_mailboxes() > 0) {
+      if (!dom_->bg_.active && adopt() > 0) {
         obs::count(stats_, obs::Counter::kOrphanAdoptions);
         obs::trace_instant(obs::TraceKind::kAdopt);
       }
@@ -135,11 +135,11 @@ class HyalineDomain : public DomainCore<HyalineDomain> {
       obs::peak(stats_, limbo_.count);
       era_tick();
       if (limbo_.count >= required_batch()) {
-        if (dom_->bg_.is_active()) {
+        if (dom_->bg_.active) {
           // Donate the accumulated batch whole; the service thread splices
           // it into its own batch and runs the seal (with its single heavy
           // barrier) off the operation path.
-          donate_limbo(limbo_, dom_->bg_.mailbox);
+          donate_limbo(limbo_, dom_->mailbox_);
           dom_->bg_.thread.ring();
         } else {
           seal_batch();
@@ -157,7 +157,7 @@ class HyalineDomain : public DomainCore<HyalineDomain> {
     std::uint64_t reservation_era() const noexcept { return era_local_; }
 
     // --- background-reclaimer hooks (service thread only; DESIGN.md §9) ---
-    unsigned bg_collect() { return adopt_all_mailboxes(); }
+    unsigned bg_collect() { return adopt(); }
     // Seals only when the spliced batch has enough member nodes for every
     // registry record; a short batch keeps accumulating until the next
     // round's adoptions top it up.
@@ -184,28 +184,13 @@ class HyalineDomain : public DomainCore<HyalineDomain> {
       limbo_.push(n);
     }
 
-    // Splices every donated retire (departed threads' unsealed batches and
-    // anything parked in the background mailbox) into this thread's batch,
-    // restoring the min-birth bound.  Returns the number of nodes adopted
-    // (0 = both mailboxes were raced empty).
-    unsigned adopt_all_mailboxes() noexcept {
-      unsigned adopted = 0;
-      adopted += splice_mailbox(dom_->orphans_);
-      adopted += splice_mailbox(dom_->bg_.mailbox);
-      return adopted;
-    }
-
-    unsigned splice_mailbox(RetireMailbox& mailbox) noexcept {
-      if (mailbox.empty()) return 0;
-      ReclaimNode* n = mailbox.take_all();
-      unsigned adopted = 0;
-      while (n != nullptr) {
-        ReclaimNode* next = n->smr_next;
-        push_to_batch(n);
-        ++adopted;
-        n = next;
-      }
-      return adopted;
+    // Splices every donated retire (departed threads' unsealed batches, or
+    // with the reclaimer on every mutator's full batch) into this thread's
+    // batch, restoring the min-birth bound.  Returns the number of nodes
+    // adopted.
+    unsigned adopt() noexcept {
+      return adopt_mailbox(dom_->mailbox_,
+                           [this](ReclaimNode* n) { push_to_batch(n); });
     }
 
     // A batch needs one member node per live registry record (each
@@ -213,13 +198,11 @@ class HyalineDomain : public DomainCore<HyalineDomain> {
     // the threshold adapts to membership: total_records() is incremented
     // before a record is published, so this bound can only over-estimate,
     // never under-estimate, the chain seal_batch() will walk.  The floor is
-    // the effective background threshold (initialized to batch_capacity_
-    // and retuned by the adaptive controller; the registry term keeps it
-    // correct regardless of how far the controller lowers it).
+    // the configured batch capacity.
     unsigned required_batch() const noexcept {
       const auto total =
           static_cast<unsigned>(dom_->registry_.total_records());
-      return std::max(dom_->bg_.effective_scan_threshold(), total + 1);
+      return std::max(dom_->batch_capacity_, total + 1);
     }
 
     // Hands the accumulated batch to all active, era-overlapping slots.
@@ -337,9 +320,6 @@ class HyalineDomain : public DomainCore<HyalineDomain> {
       : DomainCore(cfg),
         batch_capacity_(cfg.batch_capacity != 0 ? cfg.batch_capacity
                                                 : cfg.max_threads + 1) {
-    // Hyaline's reclaim cadence is the batch size, so that is what the
-    // adaptive controller tunes (era_freq rides along for the clock rate).
-    bg_.scan_threshold.store(batch_capacity_, std::memory_order_relaxed);
     start_configured();
   }
   ~HyalineDomain() { shutdown(); }

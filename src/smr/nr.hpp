@@ -10,8 +10,7 @@
 // NR is also the smallest client of the shared domain skeleton
 // (smr/domain_core.hpp): with no reservations and no limbo lists, the
 // scheme is its handle's no-op protection calls plus a counting retire().
-// It keeps a no-op background-reclaimer lifecycle, so generic callers stay
-// scheme-agnostic.
+// Having nothing to reclaim, it never starts a background reclaimer.
 #pragma once
 
 #include <atomic>
@@ -51,21 +50,9 @@ class NoReclaimDomain : public DomainCore<NoReclaimDomain> {
       n->debug_state = kNodeRetired;
       count_retire();
     }
-
-    // Background hooks: never run (NR never starts a reclaimer), but the
-    // core's reclaimer member names DomainReclaimer<NoReclaimDomain>.
-    static constexpr unsigned bg_collect() noexcept { return 0; }
-    static constexpr bool bg_reclaim() noexcept { return false; }
   };
 
   explicit NoReclaimDomain(SmrConfig cfg = {}) : DomainCore(cfg) {}
-
-  // NR never reclaims, so there is nothing for a service thread to do:
-  // start/stop are accepted and ignored.
-  bool background_active() const noexcept { return false; }
-  BgReclaimStats background_stats() const noexcept { return {}; }
-  void start_background_reclaimer() noexcept {}
-  void stop_background_reclaimer() noexcept {}
 };
 
 }  // namespace scot

@@ -11,8 +11,8 @@
 //    the predicate re-reads `work_`, so the only way a ring is missed is
 //    when it lands after the predicate check and before the notify matters —
 //    and then the bounded wait_for wakes the thread within one
-//    reclaim_interval anyway.  Lost wakeups cost latency (≤ interval), never
-//    correctness.
+//    kReclaimIntervalUs anyway.  Lost wakeups cost latency (≤ interval),
+//    never correctness.
 //  * `work_` is cleared *before* the round callback runs: a donation that
 //    arrives mid-round re-arms the flag and the next predicate check fires
 //    immediately instead of sleeping on a non-empty mailbox.
@@ -22,6 +22,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <thread>
 #include <utility>
 
 namespace scot {
@@ -41,15 +42,10 @@ ReclaimerThreadBase::~ReclaimerThreadBase() {
   delete impl_;
 }
 
-void ReclaimerThreadBase::start(unsigned interval_us,
-                                std::function<void()> round) {
-  if (running_.load(std::memory_order_acquire)) return;
-  impl_->stop_requested = false;
+void ReclaimerThreadBase::start(std::function<void()> round) {
   impl_->round = std::move(round);
-  running_.store(true, std::memory_order_release);
-  const auto interval = std::chrono::microseconds(
-      interval_us == 0 ? 1 : interval_us);
-  impl_->thread = std::thread([this, interval] {
+  impl_->thread = std::thread([this] {
+    const auto interval = std::chrono::microseconds(kReclaimIntervalUs);
     for (;;) {
       {
         std::unique_lock<std::mutex> lk(impl_->mu);
@@ -70,7 +66,7 @@ void ReclaimerThreadBase::start(unsigned interval_us,
 }
 
 void ReclaimerThreadBase::stop() {
-  if (!running_.load(std::memory_order_acquire)) return;
+  if (!impl_->thread.joinable()) return;
   {
     std::lock_guard<std::mutex> lk(impl_->mu);
     impl_->stop_requested = true;
@@ -78,16 +74,11 @@ void ReclaimerThreadBase::stop() {
   impl_->cv.notify_one();
   impl_->thread.join();
   impl_->round = nullptr;
-  running_.store(false, std::memory_order_release);
 }
 
 void ReclaimerThreadBase::ring() noexcept {
   work_.store(true, std::memory_order_release);
   if (sleeping_.load(std::memory_order_acquire)) impl_->cv.notify_one();
-}
-
-bool ReclaimerThreadBase::running() const noexcept {
-  return running_.load(std::memory_order_acquire);
 }
 
 }  // namespace scot

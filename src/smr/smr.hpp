@@ -28,8 +28,7 @@ namespace scot {
 //    guard surface (smr/guard.hpp) is a zero-cost veneer over these calls.
 //  * Domain: dynamic membership — join()/leave() at any point in the
 //    domain's lifetime; scoped_handle(d) is the RAII spelling (DESIGN.md
-//    §7) — the background-reclaimer lifecycle (a no-op for NR, DESIGN.md
-//    §9) and the observers.
+//    §7) — and the observers.
 //
 // Every scheme gets the domain half from DomainCore (smr/domain_core.hpp).
 template <class D>
@@ -67,10 +66,6 @@ concept SmrDomain =
       { d.pending_nodes() } -> std::convertible_to<std::int64_t>;
       { d.restarts() } -> std::convertible_to<std::uint64_t>;
       { d.recoveries() } -> std::convertible_to<std::uint64_t>;
-      { d.background_active() } -> std::convertible_to<bool>;
-      { d.background_stats() } -> std::same_as<BgReclaimStats>;
-      d.start_background_reclaimer();
-      d.stop_background_reclaimer();
     };
 
 static_assert(SmrDomain<NoReclaimDomain>);

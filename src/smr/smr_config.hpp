@@ -86,22 +86,12 @@ struct SmrConfig {
   bool asymmetric_fences = smr_config_detail::asym_fences_default();
 
   // Background reclaimer (smr/reclaimer.hpp, DESIGN.md §9).  When on, the
-  // domain runs one service thread: mutators hand full retire batches over a
-  // lock-free mailbox instead of scanning inline, and the service thread
-  // amortizes the one heavy barrier per reclamation round across every
-  // donated batch.  Default honours the SCOT_BG env knob (off unless set).
+  // domain runs one service thread for its whole life: mutators hand full
+  // retire batches over a lock-free mailbox instead of scanning inline, and
+  // the service thread amortizes the one heavy barrier per reclamation
+  // round across every donated batch.  Default honours the SCOT_BG env knob
+  // (off unless set).
   bool background_reclaim = smr_config_detail::bg_reclaim_default();
-
-  // Reclaimer round period in microseconds: the service thread wakes at
-  // least this often even when no mutator rings its doorbell (a donation
-  // signal can be missed by at most one period — DESIGN.md §9).
-  unsigned reclaim_interval_us = 100;
-
-  // Adaptive-control target for the pending-node gauge, in nodes (0 = no
-  // adaptation).  While pending exceeds the target the reclaimer halves the
-  // effective scan_threshold/era_freq (floors apply); once pending drops
-  // below half the target they relax back toward the configured values.
-  std::uint64_t memory_target = 0;
 };
 
 // A value snapshot of a domain's retire/free books (DomainCore::counters()).

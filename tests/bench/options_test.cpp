@@ -81,7 +81,6 @@ TEST(Options, ContainerKindPartitionsTheStructureIds) {
   EXPECT_EQ(container_kind(StructureId::kMSQueue), ContainerKind::kQueue);
   EXPECT_EQ(container_kind(StructureId::kTreiberStack), ContainerKind::kStack);
   EXPECT_EQ(container_kind(StructureId::kDeque), ContainerKind::kDeque);
-  EXPECT_EQ(container_kind(StructureId::kNone), ContainerKind::kNone);
   EXPECT_STREQ(scot::container_kind_name(ContainerKind::kQueue), "queue");
   EXPECT_STREQ(scot::container_kind_name(ContainerKind::kStack), "stack");
   EXPECT_STREQ(scot::container_kind_name(ContainerKind::kDeque), "deque");
@@ -299,6 +298,17 @@ TEST(Options, UnknownFlagsAreRejectedNotIgnored) {
   json_args.push_back("x");
   EXPECT_FALSE(parse(json_args, &error).has_value());
   EXPECT_NE(error.find("unknown flag '--json'"), std::string::npos) << error;
+  // The background reclaimer's poll period is a constant and it has no
+  // adaptive controller: their old flags are unknown too.
+  for (const char* flag : {"--memory-target", "--reclaim-interval-us"}) {
+    auto removed = kGoodArgs;
+    removed.push_back(flag);
+    removed.push_back("5");
+    EXPECT_FALSE(parse(removed, &error).has_value()) << flag;
+    EXPECT_NE(error.find(std::string("unknown flag '") + flag + "'"),
+              std::string::npos)
+        << error;
+  }
 }
 
 TEST(Options, SeedFlagPlumbsIntoConfig) {
@@ -398,11 +408,8 @@ TEST(Options, NoAsymFlagDisablesAsymmetricFences) {
   EXPECT_TRUE(parse(args2)->asymmetric_fences);
 }
 
-TEST(Options, MicroStructureNoneResolvesButIsNotIterable) {
-  EXPECT_EQ(structure_from_name("none"), StructureId::kNone);
-  for (StructureId s : kAllStructures) {
-    EXPECT_NE(s, StructureId::kNone) << "grids must never iterate 'none'";
-  }
+TEST(Options, NoneIsNotAStructureName) {
+  EXPECT_FALSE(structure_from_name("none").has_value());
   EXPECT_FALSE(structure_from_mode("none").has_value())
       << "'none' is not a paper-CLI mode";
 }

@@ -42,7 +42,8 @@ TEST(AnyMapRegistry, CoversTheFullCrossProduct) {
 }
 
 TEST(AnyMap, UnregisteredCellsAreRejected) {
-  EXPECT_FALSE(AnyMap::make(SchemeId::kEBR, StructureId::kNone).has_value());
+  EXPECT_FALSE(
+      AnyMap::make(SchemeId::kEBR, StructureId::kMSQueue).has_value());
 }
 
 // The trait-ablation variants are real registered cells (bench_ablation_*

@@ -38,7 +38,7 @@ TEST(AnyContainer, MapAndKvStructuresAreNotContainerCells) {
   EXPECT_FALSE(
       AnyContainer::make(SchemeId::kEBR, StructureId::kKvHash).has_value());
   EXPECT_FALSE(
-      AnyContainer::make(SchemeId::kEBR, StructureId::kNone).has_value());
+      AnyContainer::make(SchemeId::kEBR, StructureId::kHList).has_value());
 }
 
 TEST(AnyQueue, MakeEnforcesTheContainerKind) {

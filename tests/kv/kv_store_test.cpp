@@ -203,6 +203,21 @@ TEST(KvStore, ShardCountsAgreeOnContent) {
   }
 }
 
+// The router addresses shards by the top 16 bits of the key hash, so a
+// store with more shards than that is refused before any shard is built
+// (building them first would cost a domain, and under SCOT_BG a thread,
+// per unreachable shard).
+TEST(KvStore, MoreShardsThanTheRouterAddressesAreRefused) {
+  for (const unsigned shards : {KvStore::kMaxShards + 1, ~0u}) {
+    KvStoreOptions o;
+    o.smr = small_config(2);
+    o.shards = shards;
+    EXPECT_FALSE(
+        KvStore::make(SchemeId::kEBR, StructureId::kKvHash, o).has_value())
+        << shards;
+  }
+}
+
 TEST(KvStore, StatsAggregateAcrossShardDomains) {
   KvStoreOptions o;
   o.smr = small_config(8);

@@ -128,7 +128,9 @@ TYPED_TEST(SmrGaugeTest, OrphanedLimboAdoptedByAnotherThread) {
 
 // Three workers retire while the service thread reclaims; a sampler reads
 // the gauge throughout.  Frees are summed before retires, so it must never
-// read negative.  Stopping the reclaimer quiesces the domain.
+// read negative.  The service thread runs until teardown, so the books are
+// checked exact where the TeardownProbe records them: after shutdown() has
+// stopped it and drained the rest.
 TYPED_TEST(SmrGaugeTest, BackgroundReclaimBooksAreExact) {
   constexpr unsigned kWorkers = 3;
   const int per_worker = test::scaled_iters(4000);
@@ -154,15 +156,13 @@ TYPED_TEST(SmrGaugeTest, BackgroundReclaimBooksAreExact) {
     done.store(true, std::memory_order_release);
     sampler.join();
     EXPECT_EQ(lowest, 0) << "the gauge read negative while workers ran";
-    smr.stop_background_reclaimer();
-    expect_exact_books(smr, std::uint64_t{kWorkers} * per_worker);
   }
   expect_teardown_balances<TypeParam>(at_teardown,
                                       std::uint64_t{kWorkers} * per_worker);
 }
 
-// Retires still parked in a handle's limbo, the orphan mailbox or the
-// background mailbox are freed by teardown, which returns pending to 0.
+// Retires still parked in a handle's limbo or the retire mailbox are freed
+// by teardown, which returns pending to 0.
 TYPED_TEST(SmrGaugeTest, TeardownReturnsPendingToZero) {
   constexpr int kRetires = 10;  // below every scan/batch threshold
   auto cfg = test::small_config(2);
