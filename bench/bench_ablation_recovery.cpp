@@ -4,10 +4,9 @@
 // Harris' list" but not for the tree; this bench quantifies the list side:
 // throughput plus the restart/recovery counters that explain it.
 //
-// Both variants are registered AnyMap cells (StructureId::kHList with the
-// default traits, StructureId::kHListNoRecovery without the escape), so the
-// runs go through the same registry-driven run_case() as every figure
-// binary.
+// Both variants are AnyMap cells (StructureId::kHList with the default
+// traits, StructureId::kHListNoRecovery without the escape), so the runs go
+// through the same run_case() as every figure binary.
 #include <cstdio>
 
 #include "bench/fig_common.hpp"

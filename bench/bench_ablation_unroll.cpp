@@ -5,9 +5,9 @@
 // at small key ranges where traversals are short and dup cost is a large
 // fraction of the operation.
 //
-// Both variants are registered AnyMap cells (StructureId::kHList unrolled,
-// StructureId::kHListSimple simple), so the runs go through the registry-
-// driven run_case() like every figure binary.
+// Both variants are AnyMap cells (StructureId::kHList unrolled,
+// StructureId::kHListSimple simple), so the runs go through run_case() like
+// every figure binary.
 #include <cstdio>
 
 #include "bench/fig_common.hpp"

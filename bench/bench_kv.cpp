@@ -66,9 +66,7 @@ CaseResult run_one_kv(const CaseConfig& cfg, std::uint64_t run_seed) {
   options.initial_buckets_per_shard = buckets;
   auto store = KvStore::make(cfg.scheme, StructureId::kKvHash, options);
   if (!store) {
-    std::fprintf(stderr,
-                 "bench_kv: no registered AnyKv cell for %s/KvHash — "
-                 "check src/kv/any_kv.cpp registrations\n",
+    std::fprintf(stderr, "bench_kv: KvStore::make has no cell for %s/KvHash\n",
                  scheme_name(cfg.scheme));
     std::exit(2);
   }

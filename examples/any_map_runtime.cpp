@@ -1,8 +1,8 @@
 // any_map_runtime: pick the reclamation scheme AND the data structure from
 // the command line — no templates at the call site, no rebuild per
-// combination.  This is the scot::AnyMap facade over the runtime registry:
-// one virtual hop per operation, the fully typed SCOT traversal (protect()
-// fast path included) inside it.
+// combination.  This is the scot::AnyMap facade: one virtual hop per
+// operation, the fully typed SCOT traversal (protect() fast path included)
+// inside it.
 //
 //   ./examples/any_map_runtime                 # defaults: HLN SkipList
 //   ./examples/any_map_runtime EBR tree
@@ -10,8 +10,9 @@
 //
 // Schemes: NR EBR HP HPopt HE IBR HLN (scot::scheme_from_name).
 // Structures: paper CLI modes (listlf listwf listhm tree hash skip skiphs)
-// or registry names (HList, NMTree, ...) — both spellings resolve through
-// the same registry tables.
+// or map structure names (HList, NMTree, ...) — both spellings resolve
+// through the same core/registry.hpp tables.  Queue, stack, deque and kv
+// structures are not maps and are rejected as usage errors.
 #include <cstdio>
 #include <thread>
 #include <vector>
@@ -35,9 +36,17 @@ int main(int argc, char** argv) {
   if (argc > 2) {
     auto d = structure_from_mode(argv[2]);
     if (!d) d = structure_from_name(argv[2]);
-    if (!d) {
-      std::fprintf(stderr, "unknown structure '%s' (try listlf listwf listhm "
-                   "tree hash skip skiphs)\n", argv[2]);
+    if (!d || container_kind(*d) != ContainerKind::kMap) {
+      std::fprintf(stderr, "%s structure '%s' (try listlf listwf listhm "
+                   "tree hash skip skiphs, or a map name:",
+                   d ? "not a map" : "unknown", argv[2]);
+      for (StructureId m : kAllStructures) {
+        std::fprintf(stderr, " %s", scot::structure_name(m));
+      }
+      for (StructureId m : kAblationStructures) {
+        std::fprintf(stderr, " %s", scot::structure_name(m));
+      }
+      std::fprintf(stderr, ")\n");
       return 2;
     }
     structure = *d;
@@ -48,7 +57,7 @@ int main(int argc, char** argv) {
   options.smr.max_threads = kThreads;
   auto map = AnyMap::make(scheme, structure, options);
   if (!map) {
-    std::fprintf(stderr, "no registered cell for %s/%s\n",
+    std::fprintf(stderr, "AnyMap::make has no cell for %s/%s\n",
                  scheme_name(scheme), structure_name(structure));
     return 1;
   }

@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
   options.initial_buckets_per_shard = 4;  // tiny on purpose: force resizes
   auto store = KvStore::make(scheme, StructureId::kKvHash, options);
   if (!store) {
-    std::fprintf(stderr, "no registered kv cell for %s (link scot_kv)\n",
+    std::fprintf(stderr, "KvStore::make has no cell for %s\n",
                  scheme_name(scheme));
     return 2;
   }

@@ -1,6 +1,6 @@
 // work_queue: the container concepts through the type-erased facades —
 // an MS queue as a producer/consumer work channel, with the stack and the
-// deque driven through the same registry to show that one guard discipline
+// deque driven through the same facade to show that one guard discipline
 // serves all three shapes (DESIGN.md §11).
 //
 //   ./examples/work_queue            # default scheme: HLN
@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   // --- the queue as a work channel ------------------------------------------
   auto queue = AnyQueue::make(scheme, StructureId::kMSQueue, options);
   if (!queue) {
-    std::fprintf(stderr, "no registered cell for %s/MSQueue\n",
+    std::fprintf(stderr, "AnyQueue::make has no cell for %s/MSQueue\n",
                  scheme_name(scheme));
     return 1;
   }
@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(queue->restarts()),
               static_cast<unsigned long long>(queue->recoveries()));
 
-  // --- same registry, other shapes ------------------------------------------
+  // --- same facade, other shapes --------------------------------------------
   // A stack for undo-style LIFO scratch work...
   auto stack = AnyStack::make(scheme, StructureId::kTreiberStack, options);
   {

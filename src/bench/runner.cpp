@@ -1,8 +1,8 @@
-// Registry-driven run_case: builds the (scheme, structure) cell through the
-// concept's type-erased facade and feeds it to the matching per-concept
-// measured loop, dispatching on container_kind(cfg.structure).  This single
-// translation unit replaces the seven per-scheme runner_<scheme>.cpp TUs
-// the harness used to need for compile-time scheme selection.
+// run_case: builds the (scheme, structure) cell through the concept's
+// type-erased facade and feeds it to the matching per-concept measured loop,
+// dispatching on container_kind(cfg.structure).  This single translation
+// unit replaces the seven per-scheme runner_<scheme>.cpp TUs the harness
+// used to need for compile-time scheme selection.
 #include "bench/runner.hpp"
 
 #include <cstdio>
@@ -22,13 +22,10 @@ CaseResult run_one_any_map(const CaseConfig& cfg, std::uint64_t run_seed) {
   options.hash_buckets = detail::bucket_count_for(cfg);
   auto map = AnyMap::make(cfg.scheme, cfg.structure, options);
   if (!map) {
-    // The v1 per-scheme switch could not miss a case without a compiler
-    // warning; the runtime registry can (a dropped registration line).
-    // Printing a fake 0.0-Mops cell would poison the figure tables, so
-    // fail loudly instead.
-    std::fprintf(stderr,
-                 "run_case: no registered AnyMap cell for %s/%s — "
-                 "check src/core/any_map.cpp registrations\n",
+    // A map structure without a case in AnyMap's make_cell() switch.
+    // Printing a fake 0.0-Mops cell would poison the figure tables, so fail
+    // loudly instead.
+    std::fprintf(stderr, "run_case: AnyMap::make has no cell for %s/%s\n",
                  scheme_name(cfg.scheme), structure_name(cfg.structure));
     std::exit(2);
   }
@@ -42,8 +39,7 @@ CaseResult run_one_any_container(const CaseConfig& cfg,
   auto c = AnyContainer::make(cfg.scheme, cfg.structure, options);
   if (!c) {
     std::fprintf(stderr,
-                 "run_case: no registered AnyContainer cell for %s/%s — "
-                 "check src/core/any_container.cpp registrations\n",
+                 "run_case: AnyContainer::make has no cell for %s/%s\n",
                  scheme_name(cfg.scheme), structure_name(cfg.structure));
     std::exit(2);
   }

@@ -1,34 +1,23 @@
-// Runtime structure registry: the closed set of data structures as values,
-// the per-concept structure tables, and the SchemeId × StructureId → factory
-// tables behind the type-erased facades (scot::AnyMap, scot::AnyKv,
-// scot::AnyContainer).
+// Runtime structure registry: the closed set of data structures as values
+// and the per-concept structure tables.
 //
 // Like src/smr/registry.hpp this is the single source of truth for structure
 // identity: the bench options, the bench tables and the paper CLI mode
 // spellings all resolve through the tables here.  Structures are grouped by
 // *container concept* (ContainerKind): uint64-keyed maps, string-keyed kv
 // shards, and the queue/stack/deque shapes each have their own iteration
-// table and their own factory registry, because their op surfaces differ —
-// but they share one StructureId namespace so CLI names and grid labels
-// never collide across concepts.
+// table and their own type-erased facade (scot::AnyMap, scot::AnyKv,
+// scot::AnyContainer), because their op surfaces differ — but they share one
+// StructureId namespace so CLI names and grid labels never collide across
+// concepts.  Each facade's make() selects the typed cell with a switch on
+// StructureId (DESIGN.md §6 and §11 have the recipe).
 //
-// The factory tables are genuine *runtime* registries — src/core/any_map.cpp,
-// src/kv/any_kv.cpp and src/core/any_container.cpp populate their scheme ×
-// structure cross products at static-initialisation time, and out-of-tree
-// code can register additional cells through
-// `AnyMapRegistry::instance().add(...)` (DESIGN.md §6 and §11 have the
-// recipe).
-//
-// This header is deliberately light: it forward-declares the type-erased
-// implementation interfaces instead of including the structure headers, so
+// This header is deliberately light: it includes no structure header, so
 // name resolution never pays for template instantiation.
 #pragma once
 
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <string_view>
-#include <vector>
 
 #include "smr/registry.hpp"
 
@@ -101,10 +90,9 @@ inline constexpr StructureId kAllStructures[] = {
     StructureId::kNMTree,  StructureId::kHashMap,  StructureId::kSkipList,
     StructureId::kSkipListEager};
 
-// Trait-ablation variants of the Harris list (bench_ablation_*): registered,
-// name-resolvable identities, but deliberately absent from
-// kAllStructures, so no figure grid or cross-product test ever iterates
-// them.
+// Trait-ablation variants of the Harris list (bench_ablation_*): AnyMap
+// cells with name-resolvable identities, but deliberately absent from
+// kAllStructures, so no figure grid iterates them.
 inline constexpr StructureId kAblationStructures[] = {
     StructureId::kHListNoRecovery, StructureId::kHListSimple};
 
@@ -116,11 +104,7 @@ inline constexpr StructureId kKvStructures[] = {StructureId::kKvHash};
 
 // The queue/stack/deque concept (core/ms_queue.hpp, core/treiber_stack.hpp,
 // core/deque.hpp), served through scot::AnyContainer and the per-concept
-// facades.  One table per kind for single-concept grids, plus the combined
-// table bench_containers and the cross-product tests iterate.
-inline constexpr StructureId kQueueStructures[] = {StructureId::kMSQueue};
-inline constexpr StructureId kStackStructures[] = {StructureId::kTreiberStack};
-inline constexpr StructureId kDequeStructures[] = {StructureId::kDeque};
+// facades; bench_containers and the cross-product tests iterate it.
 inline constexpr StructureId kContainerStructures[] = {
     StructureId::kMSQueue, StructureId::kTreiberStack, StructureId::kDeque};
 
@@ -178,82 +162,5 @@ inline std::optional<StructureId> structure_from_mode(std::string_view mode) {
   if (mode == "deque") return StructureId::kDeque;
   return std::nullopt;
 }
-
-// --- factory registries ----------------------------------------------------
-
-// One registry shape for every type-erased facade: maps (scheme, structure)
-// to a factory producing the concept's implementation interface.
-// Registration normally happens during static init from the concept's single
-// cross-product TU, but the table is mutex-guarded so late (test /
-// out-of-tree) registration is safe.  Last registration for a cell wins, so
-// tests can shadow a factory.
-template <class Impl, class Options>
-class AnyFactoryRegistry {
- public:
-  using Factory = std::unique_ptr<Impl> (*)(const Options&);
-
-  struct Entry {
-    SchemeId scheme;
-    StructureId structure;
-    Factory factory;
-  };
-
-  static AnyFactoryRegistry& instance() {
-    static AnyFactoryRegistry registry;
-    return registry;
-  }
-
-  void add(SchemeId scheme, StructureId structure, Factory factory) {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (Entry& e : entries_) {
-      if (e.scheme == scheme && e.structure == structure) {
-        e.factory = factory;
-        return;
-      }
-    }
-    entries_.push_back(Entry{scheme, structure, factory});
-  }
-
-  Factory find(SchemeId scheme, StructureId structure) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const Entry& e : entries_) {
-      if (e.scheme == scheme && e.structure == structure) return e.factory;
-    }
-    return nullptr;
-  }
-
-  std::vector<Entry> entries() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return entries_;
-  }
-
- private:
-  AnyFactoryRegistry() = default;
-  mutable std::mutex mu_;
-  std::vector<Entry> entries_;
-};
-
-struct AnyMapOptions;        // core/any_map.hpp
-struct AnyKvOptions;         // kv/any_kv.hpp
-struct AnyContainerOptions;  // core/any_container.hpp
-namespace detail {
-class AnyMapImpl;        // core/any_map.hpp
-class AnyKvImpl;         // kv/any_kv.hpp
-class AnyContainerImpl;  // core/any_container.hpp
-}  // namespace detail
-
-// Populated by src/core/any_map.cpp; queried by AnyMap::make().
-using AnyMapRegistry = AnyFactoryRegistry<detail::AnyMapImpl, AnyMapOptions>;
-
-// The string-keyed sibling: populated by src/kv/any_kv.cpp (scheme cross
-// product × kKvStructures); queried by AnyKv::make() and, per shard, by
-// KvStore::make().
-using AnyKvRegistry = AnyFactoryRegistry<detail::AnyKvImpl, AnyKvOptions>;
-
-// The queue/stack/deque concept: populated by src/core/any_container.cpp
-// (scheme cross product × kContainerStructures); queried by
-// AnyContainer::make() and the per-concept facades.
-using AnyContainerRegistry =
-    AnyFactoryRegistry<detail::AnyContainerImpl, AnyContainerOptions>;
 
 }  // namespace scot

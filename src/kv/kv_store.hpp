@@ -1,5 +1,5 @@
 // scot::KvStore — the serving-layer facade: N independent AnyKv shards,
-// each a (scheme × structure) registry cell with its own SMR domain, its
+// each a (scheme × structure) cell with its own SMR domain, its
 // own NodePool, and its own split-ordered list and bucket directory
 // (DESIGN.md §10).
 //
@@ -49,9 +49,9 @@ class KvStore {
   // shard past this many could ever be addressed.
   static constexpr unsigned kMaxShards = 1u << 16;
 
-  // Builds `shards` registry cells of (scheme, structure).  Returns nullopt
-  // for unregistered cells and for more than kMaxShards shards.  Defined in
-  // src/kv/any_kv.cpp next to the factory table.
+  // Builds `shards` cells of (scheme, structure).  Returns nullopt for a
+  // structure of another concept and for more than kMaxShards shards.
+  // Defined in src/kv/any_kv.cpp next to AnyKv::make().
   static std::optional<KvStore> make(SchemeId scheme, StructureId structure,
                                      const KvStoreOptions& options = {});
 

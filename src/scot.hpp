@@ -10,7 +10,9 @@
 //   * scheme/structure identity as runtime values (smr/registry.hpp,
 //     core/registry.hpp),
 //   * the type-erased scot::AnyMap facade with runtime scheme and
-//     structure selection (core/any_map.hpp; link the `scot_any` library),
+//     structure selection (core/any_map.hpp; link the `scot_any` library);
+//     it and the two facades below share one skeleton (core/any_cell.hpp)
+//     and one SchemeId -> domain switch (scot::with_domain, smr/smr.hpp),
 //   * the container concepts — scot::AnyQueue / AnyStack / AnyDeque over
 //     MSQueue, TreiberStack, and the Michael deque
 //     (core/any_container.hpp; link the `scot_any` library),
@@ -35,7 +37,7 @@
 //   s.insert(7, 700);
 //
 // See DESIGN.md §6 for guard lifetimes, Protected<T> invariants, and the
-// registry extension recipe.
+// recipe for adding a scheme or a structure.
 #pragma once
 
 #include "core/any_container.hpp"

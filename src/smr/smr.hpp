@@ -5,6 +5,7 @@
 #include <atomic>
 #include <concepts>
 #include <cstdint>
+#include <type_traits>
 
 #include "common/stable_atomic.hpp"
 #include "smr/ebr.hpp"
@@ -75,5 +76,36 @@ static_assert(SmrDomain<HpOptDomain>);
 static_assert(SmrDomain<HeDomain>);
 static_assert(SmrDomain<IbrDomain>);
 static_assert(SmrDomain<HyalineDomain>);
+
+// The one SchemeId -> domain-type table: calls f(std::type_identity<D>{})
+// with the domain type `s` names and returns its result.  Every runtime
+// scheme selection (the AnyMap / AnyKv / AnyContainer make()s) goes through
+// this switch, so a scheme added to SchemeId without a case here is a
+// -Wswitch diagnostic.  f's result type must be value-initializable: an
+// out-of-range SchemeId value yields it value-initialized.
+template <class F>
+constexpr auto with_domain(SchemeId s, F&& f)
+    -> decltype(f(std::type_identity<NoReclaimDomain>{})) {
+  switch (s) {
+    case SchemeId::kNR: return f(std::type_identity<NoReclaimDomain>{});
+    case SchemeId::kEBR: return f(std::type_identity<EbrDomain>{});
+    case SchemeId::kHP: return f(std::type_identity<HpDomain>{});
+    case SchemeId::kHPopt: return f(std::type_identity<HpOptDomain>{});
+    case SchemeId::kHE: return f(std::type_identity<HeDomain>{});
+    case SchemeId::kIBR: return f(std::type_identity<IbrDomain>{});
+    case SchemeId::kHLN: return f(std::type_identity<HyalineDomain>{});
+  }
+  return {};
+}
+
+// Keep the registry's robustness column honest against the domain types.
+static_assert([] {
+  for (SchemeId s : kAllSchemes) {
+    const bool robust = with_domain(
+        s, []<class D>(std::type_identity<D>) { return D::kRobust; });
+    if (robust != scheme_info(s).robust) return false;
+  }
+  return true;
+}());
 
 }  // namespace scot

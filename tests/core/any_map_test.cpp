@@ -1,14 +1,16 @@
-// scot::AnyMap / runtime registry coverage: every SchemeId x StructureId
-// cell must be constructible through the facade and behave like a set/map
-// under single-threaded semantics and a small concurrent churn.  This is
-// the acceptance test of the API v2 registry — if a registration line goes
-// missing, the cross-product walk below fails by name.
+// scot::AnyMap coverage: every SchemeId x StructureId cell must be
+// constructible through the facade of its concept (and no other) and behave
+// like a set/map under single-threaded semantics and a small concurrent
+// churn.  If a case goes missing from a make() switch, the cross-product
+// walk below fails by name.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "scot.hpp"
 #include "tests/test_util.hpp"
@@ -28,27 +30,51 @@ std::string cell_name(SchemeId s, StructureId d) {
   return std::string(scheme_name(s)) + "/" + structure_name(d);
 }
 
-TEST(AnyMapRegistry, CoversTheFullCrossProduct) {
-  const auto entries = AnyMapRegistry::instance().entries();
-  std::size_t expected = 0;
+AnyKvOptions small_kv_options(unsigned threads = 2) {
+  AnyKvOptions options;
+  options.smr = test::small_config(threads);
+  options.smr.track_stats = true;
+  options.initial_buckets = 8;
+  return options;
+}
+
+// Every SchemeId x every StructureId: exactly the facade matching the
+// structure's container_kind() builds the cell; the other two refuse it.
+TEST(AnyFacades, EachCellOpensThroughExactlyItsConceptsFacade) {
+  std::vector<StructureId> structures;
+  for (auto table : {std::span<const StructureId>(kAllStructures),
+                     std::span<const StructureId>(kAblationStructures),
+                     std::span<const StructureId>(kKvStructures),
+                     std::span<const StructureId>(kContainerStructures)}) {
+    structures.insert(structures.end(), table.begin(), table.end());
+  }
+  AnyContainerOptions container_options;
+  container_options.smr = test::small_config(2);
   for (SchemeId s : kAllSchemes) {
-    for (StructureId d : kAllStructures) {
-      ++expected;
-      EXPECT_NE(AnyMapRegistry::instance().find(s, d), nullptr)
-          << "unregistered cell " << cell_name(s, d);
+    for (StructureId d : structures) {
+      SCOPED_TRACE(cell_name(s, d));
+      const ContainerKind kind = container_kind(d);
+      const bool is_container = kind == ContainerKind::kQueue ||
+                                kind == ContainerKind::kStack ||
+                                kind == ContainerKind::kDeque;
+      EXPECT_EQ(AnyMap::make(s, d, small_options()).has_value(),
+                kind == ContainerKind::kMap);
+      EXPECT_EQ(AnyKv::make(s, d, small_kv_options()).has_value(),
+                kind == ContainerKind::kKv);
+      EXPECT_EQ(AnyContainer::make(s, d, container_options).has_value(),
+                is_container);
     }
   }
-  EXPECT_GE(entries.size(), expected);
+  // A SchemeId value outside the enumerators names no domain.
+  const auto bogus = static_cast<SchemeId>(99);
+  EXPECT_FALSE(AnyMap::make(bogus, StructureId::kHList).has_value());
+  EXPECT_FALSE(AnyKv::make(bogus, StructureId::kKvHash).has_value());
+  EXPECT_FALSE(AnyContainer::make(bogus, StructureId::kMSQueue).has_value());
 }
 
-TEST(AnyMap, UnregisteredCellsAreRejected) {
-  EXPECT_FALSE(
-      AnyMap::make(SchemeId::kEBR, StructureId::kMSQueue).has_value());
-}
-
-// The trait-ablation variants are real registered cells (bench_ablation_*
-// routes through run_case / AnyMap), registered for every scheme even
-// though the grids never iterate them.
+// The trait-ablation variants are real cells (bench_ablation_* routes
+// through run_case / AnyMap) under every scheme, even though the grids
+// never iterate them.
 TEST(AnyMap, AblationVariantCellsAreRegisteredAndFunctional) {
   for (SchemeId s : kAllSchemes) {
     for (StructureId d : scot::kAblationStructures) {
@@ -93,7 +119,7 @@ TEST(AnyMap, StatsSnapshotReflectsWorkload) {
 }
 
 // Single-threaded set/map semantics + iterate smoke + leak check, for every
-// registered cell.
+// map cell.
 TEST(AnyMap, EveryCellSingleThreadedSemantics) {
   constexpr std::uint64_t kKeys = 64;
   for (SchemeId s : kAllSchemes) {
@@ -171,17 +197,9 @@ TEST(AnyMap, EveryCellConcurrentChurnSmoke) {
 }
 
 // ---- String-keyed cells (scot::AnyKv, src/kv/) ----------------------------
-// The serving layer reuses the same runtime-registry pattern with typed
-// (string) keys, so the cross-product checks live here next to their
-// integer-keyed siblings.  Deeper resize/hammer coverage is kv_store_test.
-
-AnyKvOptions small_kv_options(unsigned threads = 2) {
-  AnyKvOptions options;
-  options.smr = test::small_config(threads);
-  options.smr.track_stats = true;
-  options.initial_buckets = 8;
-  return options;
-}
+// The serving layer reuses the same facade skeleton with typed (string)
+// keys, so the cross-product checks live here next to their integer-keyed
+// siblings.  Deeper resize/hammer coverage is kv_store_test.
 
 // Every scheme serves the KvHash cell with arbitrary byte-string keys and
 // values: insert-vs-update distinction, read-back, erase, and keys that

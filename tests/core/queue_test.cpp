@@ -23,24 +23,6 @@ AnyContainerOptions small_options(unsigned threads = 4) {
   return options;
 }
 
-TEST(AnyContainerRegistry, CoversTheFullSchemeCrossProduct) {
-  for (SchemeId s : kAllSchemes) {
-    for (StructureId d : kContainerStructures) {
-      EXPECT_NE(AnyContainerRegistry::instance().find(s, d), nullptr)
-          << scheme_name(s) << "/" << structure_name(d);
-    }
-  }
-}
-
-TEST(AnyContainer, MapAndKvStructuresAreNotContainerCells) {
-  EXPECT_FALSE(
-      AnyContainer::make(SchemeId::kEBR, StructureId::kHMList).has_value());
-  EXPECT_FALSE(
-      AnyContainer::make(SchemeId::kEBR, StructureId::kKvHash).has_value());
-  EXPECT_FALSE(
-      AnyContainer::make(SchemeId::kEBR, StructureId::kHList).has_value());
-}
-
 TEST(AnyQueue, MakeEnforcesTheContainerKind) {
   EXPECT_TRUE(AnyQueue::make(SchemeId::kHP).has_value());
   EXPECT_FALSE(
