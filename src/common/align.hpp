@@ -6,7 +6,9 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <new>
+#include <type_traits>
 
 namespace scot {
 
@@ -27,5 +29,29 @@ struct alignas(kFalseSharingRange) Padded {
   T& operator*() noexcept { return value; }
   const T& operator*() const noexcept { return value; }
 };
+
+// A heap array that starts on a false-sharing boundary and fills whole
+// ranges, so no other allocation shares its lines (plain new[] would let
+// two threads' small arrays share one).
+struct PaddedArrayDelete {
+  void operator()(void* p) const noexcept {
+    ::operator delete[](p, std::align_val_t{kFalseSharingRange});
+  }
+};
+template <class T>
+using PaddedArray = std::unique_ptr<T[], PaddedArrayDelete>;
+
+// `n` elements, each constructed from `init`.
+template <class T, class Init>
+PaddedArray<T> make_padded_array(std::size_t n, const Init& init) {
+  static_assert(std::is_trivially_destructible_v<T>);
+  const std::size_t bytes =
+      (n * sizeof(T) + kFalseSharingRange - 1) / kFalseSharingRange *
+      kFalseSharingRange;
+  T* p = static_cast<T*>(
+      ::operator new[](bytes, std::align_val_t{kFalseSharingRange}));
+  for (std::size_t i = 0; i < n; ++i) new (p + i) T(init);
+  return PaddedArray<T>(p);
+}
 
 }  // namespace scot

@@ -33,6 +33,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstdint>
 
 #if defined(__linux__)
 #include <linux/membarrier.h>
@@ -40,6 +41,7 @@
 #include <unistd.h>
 #endif
 
+#include "common/align.hpp"
 #include "obs/trace.hpp"
 
 // ThreadSanitizer does not instrument stand-alone atomic_thread_fence (GCC
@@ -195,24 +197,71 @@ inline void light_barrier(Path p) noexcept {
   }
 }
 
-// Reclaimer-side barrier, issued once per scan before the first read of the
-// published slots.  After it returns, every reader publication that was not
-// yet visible belongs to a reader whose validating re-read is ordered after
-// this point (see DESIGN.md §5).
+// The process-wide barrier clock.  A membarrier is process-wide, so a
+// barrier any thread completes serves every domain's reclaimers: it
+// surfaces every reader publication made before it started, whatever
+// domain the reader belongs to.  Each membarrier-path heavy_barrier() takes
+// a generation from `started` (seq_cst) before the syscall and publishes it
+// to `completed` (release, monotone max) once the syscall returns.  A
+// reclaimer that read `started` == g after its unlinks and later sees
+// `completed` > g knows a full barrier started after those unlinks and has
+// finished, so it may scan them without a barrier of its own
+// (DESIGN.md §5, "Sharing one barrier").  The fallback path, whose heavy
+// barrier is a local fence, and the classic path take no generation.
+// Each counter gets its own line: `started` is written once per barrier
+// and read on every retire, `completed` likewise.
+namespace detail {
+struct BarrierClock {
+  alignas(kFalseSharingRange) std::atomic<std::uint64_t> started{0};
+  alignas(kFalseSharingRange) std::atomic<std::uint64_t> completed{0};
+};
+inline BarrierClock barrier_clock;
+}  // namespace detail
+
+// The generation a reclaimer records after its unlinks: a barrier numbered
+// above it starts after this load in the seq_cst order.
+inline std::uint64_t barrier_generation() noexcept {
+  return detail::barrier_clock.started.load(std::memory_order_seq_cst);
+}
+
+// True once some thread's heavy barrier that started after the
+// barrier_generation() read returning `gen` has completed.
+inline bool barrier_completed_since(std::uint64_t gen) noexcept {
+  return detail::barrier_clock.completed.load(std::memory_order_acquire) >
+         gen;
+}
+
+// Reclaimer-side barrier, issued by a scan or seal before its first read of
+// the published slots unless another thread's completed barrier already
+// covers its batch (barrier_completed_since).  After it returns, every
+// reader publication that was not yet visible belongs to a reader whose
+// validating re-read is ordered after this point (see DESIGN.md §5).
 inline void heavy_barrier(Path p) noexcept {
   // Every scheme's scan/seal funnels through here, so this one span covers
   // all heavy-barrier events in the trace (no-op unless SCOT_TRACE=1).
   obs::TraceSpan span(obs::TraceKind::kBarrier);
 #if defined(__linux__) && defined(SYS_membarrier)
-  if (p == Path::kMembarrier &&
-      syscall(SYS_membarrier, MEMBARRIER_CMD_PRIVATE_EXPEDITED, 0, 0) == 0)
-    return;
+  if (p == Path::kMembarrier) {
+    auto& clock = detail::barrier_clock;
+    const std::uint64_t gen =
+        clock.started.fetch_add(1, std::memory_order_seq_cst) + 1;
+    if (syscall(SYS_membarrier, MEMBARRIER_CMD_PRIVATE_EXPEDITED, 0, 0) == 0) {
+      std::uint64_t done = clock.completed.load(std::memory_order_relaxed);
+      while (done < gen &&
+             !clock.completed.compare_exchange_weak(
+                 done, gen, std::memory_order_release,
+                 std::memory_order_relaxed)) {
+      }
+      return;
+    }
+  }
 #else
   (void)p;
 #endif
   // Fallback path — readers already fence per slot, so a local full fence
   // is all the reclaimer needs.  Also the safety net for a post-registration
-  // syscall failure, which the kernel contract rules out.
+  // syscall failure, which the kernel contract rules out; that barrier
+  // publishes no completion.
   seq_cst_fence();
 }
 

@@ -72,17 +72,15 @@ class EbrDomain : public DomainCore<EbrDomain> {
     void revalidate_op() noexcept {}
 
     // Frees every retired node no active reservation can still reference.
-    void scan() {
+    // `covered`: a shared barrier already covers the batch (DESIGN.md §5).
+    void scan(bool covered = false) {
       obs::TraceSpan span(obs::TraceKind::kScan);
       const std::uint64_t stats_t0 = obs::scan_begin(stats_);
       // Surface in-flight activation stores before snapshotting the
       // reservations; a reservation the barrier does not surface belongs
       // to a thread whose first shared load is ordered after every unlink
       // in this batch (DESIGN.md §5, activation case).
-      if (dom_->fence_path_ != asymfence::Path::kClassic) {
-        asymfence::heavy_barrier(dom_->fence_path_);
-        obs::count(stats_, obs::Counter::kHeavyBarriers);
-      }
+      reclaim_barrier(covered);
       const std::uint64_t min_res = dom_->min_reservation();
       ReclaimNode* n = limbo_.take();
       std::uint64_t freed = 0;

@@ -14,6 +14,7 @@
 #include <type_traits>
 #include <utility>
 
+#include "common/asymfence.hpp"
 #include "obs/stats.hpp"
 #include "obs/trace.hpp"
 #include "smr/guard.hpp"
@@ -208,6 +209,33 @@ class HandleCore {
                        std::memory_order_release);
   }
 
+  // --- barrier sharing (DESIGN.md §5, "Sharing one barrier") -------------
+  // Inline retires on the membarrier path take part; with the background
+  // reclaimer on, its one barrier per round already serves every mutator,
+  // and a fallback barrier is a local fence no other thread can reuse.
+  bool shares_barriers() const noexcept {
+    return !dom_->bg_.active &&
+           dom_->fence_path_ == asymfence::Path::kMembarrier;
+  }
+  // True when a heavy barrier that started after this handle's previous
+  // retire has completed, on any thread and in any domain: every node
+  // parked by then was unlinked before that barrier started.
+  bool barrier_covered() const noexcept {
+    return asymfence::barrier_completed_since(last_gen_);
+  }
+  // The last step of an inline retire, after its unlink, push and mailbox
+  // adoption.
+  void note_barrier_generation() noexcept {
+    last_gen_ = asymfence::barrier_generation();
+  }
+  // A scan's or seal's heavy barrier before its first read of the published
+  // reservations, skipped when a shared barrier already covers the batch.
+  void reclaim_barrier(bool covered) noexcept {
+    if (covered || dom_->fence_path_ == asymfence::Path::kClassic) return;
+    asymfence::heavy_barrier(dom_->fence_path_);
+    obs::count(stats_, obs::Counter::kHeavyBarriers);
+  }
+
   // Advances the domain's era/epoch clock once per era_freq calls (the
   // era-based schemes call it on retire and, for birth eras, alloc).
   void era_tick() noexcept {
@@ -231,6 +259,10 @@ class HandleCore {
   // cumulative across record reuse like the ds_* fields.
   std::atomic<std::uint64_t> retired_{0};
   std::atomic<std::uint64_t> reclaimed_{0};
+  // The barrier generation read at the end of the previous inline retire
+  // (note_barrier_generation); kept across record reuse, which is safe
+  // because leave() empties the limbo.
+  std::uint64_t last_gen_ = 0;
   bool track_;
 };
 
@@ -252,6 +284,12 @@ class LimboHandle : public HandleCore<Domain, Derived> {
     n->debug_state = kNodeRetired;
     if constexpr (kRetireEra)
       n->retire_era = dom->clock_.load(std::memory_order_acquire);
+    // Another thread's completed barrier covers everything parked before
+    // this retire: scan it now, without a barrier of our own.  No minimum
+    // count — waiting for more nodes would only keep garbage longer.
+    const bool share = this->shares_barriers();
+    if (share && this->limbo_.count > 0 && this->barrier_covered())
+      this->derived()->scan(/*covered=*/true);
     this->limbo_.push(n);
     // With the background reclaimer on, mailbox adoption is its job;
     // otherwise retirers adopt what departed threads left behind.
@@ -274,6 +312,7 @@ class LimboHandle : public HandleCore<Domain, Derived> {
         this->derived()->scan();
       }
     }
+    if (share) this->note_barrier_generation();
   }
 
   // Test hook: number of nodes parked in this thread's limbo list.

@@ -9,17 +9,17 @@
 // HP this replaces the per-node publication fence with (amortized) one fence
 // per era change.
 //
-// The era slots live inside the Handle and scans walk the live registry;
-// leave() clears the slots before the shared skeleton
-// (smr/domain_core.hpp) scans and donates the leftover limbo.
+// Each Handle owns a padded heap array of era slots, laid out as in HP;
+// scans walk the live registry.  leave() clears the slots before the shared
+// skeleton (smr/domain_core.hpp) scans and donates the leftover limbo.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <memory>
 
+#include "common/align.hpp"
 #include "common/asymfence.hpp"
 #include "common/chunked_list.hpp"
 #include "obs/stats.hpp"
@@ -38,10 +38,8 @@ class HeDomain : public DomainCore<HeDomain> {
    public:
     Handle(HeDomain* dom, unsigned tid)
         : LimboHandle(dom, tid),
-          slots_(new std::atomic<std::uint64_t>[dom->cfg_.slots_per_thread]) {
-      for (unsigned i = 0; i < dom->cfg_.slots_per_thread; ++i)
-        slots_[i].store(kIdleEra, std::memory_order_relaxed);
-    }
+          slots_(make_padded_array<std::atomic<std::uint64_t>>(
+              dom->cfg_.slots_per_thread, kIdleEra)) {}
 
     // HE has no eager activation store: an operation becomes visible to
     // reclaimers at its *first slot publish* (end_op cleared every slot, so
@@ -119,7 +117,8 @@ class HeDomain : public DomainCore<HeDomain> {
       return dom_->clock_.load(std::memory_order_acquire);
     }
 
-    void scan() {
+    // `covered`: as for HP — a shared barrier already covers the batch.
+    void scan(bool covered = false) {
       obs::TraceSpan span(obs::TraceKind::kScan);
       const std::uint64_t stats_t0 = obs::scan_begin(stats_);
       // Surface in-flight era publications before reading the slots; a
@@ -127,10 +126,7 @@ class HeDomain : public DomainCore<HeDomain> {
       // validating re-read is ordered after every unlink in this batch.
       // The registry head is read after the barrier, so the same argument
       // covers records of late-joining threads (DESIGN.md §7).
-      if (dom_->fence_path_ != asymfence::Path::kClassic) {
-        asymfence::heavy_barrier(dom_->fence_path_);
-        obs::count(stats_, obs::Counter::kHeavyBarriers);
-      }
+      reclaim_barrier(covered);
       // Reservation snapshot (sorted) — one pass over the live registry
       // per scan instead of one per retired node.
       snapshot_.clear();
@@ -155,6 +151,12 @@ class HeDomain : public DomainCore<HeDomain> {
     // Leave pre-step: clear the era slots (no operation may be in flight).
     void prepare_leave() noexcept { end_op(); }
 
+    // Test hooks (layout pin): the word every protect() writes, the slot
+    // array pointer every scan reads, and the array itself.
+    const void* used_mask_address() const noexcept { return &used_mask_; }
+    const void* slots_address() const noexcept { return &slots_; }
+    const void* slot_array() const noexcept { return slots_.get(); }
+
    private:
     friend class HeDomain;
 
@@ -165,10 +167,14 @@ class HeDomain : public DomainCore<HeDomain> {
       return it != snapshot_.end() && *it <= retire;
     }
 
-    // Per-thread era slots; sized by cfg.slots_per_thread at handle
-    // construction, reused across join/leave cycles.
-    std::unique_ptr<std::atomic<std::uint64_t>[]> slots_;
+    // Written by every protect(); declared before slots_ so it stays off
+    // the line every scan reads.
     std::uint32_t used_mask_ = 0;
+    // Per-thread era slots, on padded heap lines of their own; sized by
+    // cfg.slots_per_thread at handle construction, reused across join/leave
+    // cycles.  The pointer is read by every other thread's scan, so it
+    // starts a fresh line.
+    alignas(kFalseSharingRange) PaddedArray<std::atomic<std::uint64_t>> slots_;
     // Scan scratch, reused across scans; grows without bound instead of
     // being pre-reserved per thread.
     ChunkedList<std::uint64_t> snapshot_;

@@ -15,18 +15,18 @@
 // dup calls to copy toward *higher* indices because scans read slots in
 // ascending order (see DESIGN.md §4).
 //
-// The hazard slots live inside the Handle (one cache-line-isolated block
-// per registry record) and scans walk the live registry; leave() clears the
-// slots before the shared skeleton (smr/domain_core.hpp) scans and donates
-// the leftover limbo.
+// Each Handle owns a padded heap array of hazard slots, and the pointer to
+// it sits on a line no protect() writes; scans walk the live registry.
+// leave() clears the slots before the shared skeleton
+// (smr/domain_core.hpp) scans and donates the leftover limbo.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <memory>
 
+#include "common/align.hpp"
 #include "common/asymfence.hpp"
 #include "common/chunked_list.hpp"
 #include "obs/stats.hpp"
@@ -51,10 +51,8 @@ class HazardPointerDomain
    public:
     Handle(HazardPointerDomain* dom, unsigned tid)
         : Base(dom, tid),
-          slots_(new std::atomic<ReclaimNode*>[dom->cfg_.slots_per_thread]) {
-      for (unsigned i = 0; i < dom->cfg_.slots_per_thread; ++i)
-        slots_[i].store(nullptr, std::memory_order_relaxed);
-    }
+          slots_(make_padded_array<std::atomic<ReclaimNode*>>(
+              dom->cfg_.slots_per_thread, nullptr)) {}
 
    protected:
     // HazardPointerDomain is a template, so the base is dependent and its
@@ -137,19 +135,18 @@ class HazardPointerDomain
     static constexpr bool op_valid() noexcept { return true; }
     void revalidate_op() noexcept {}
 
-    void scan() {
+    // `covered`: another thread's completed barrier started after every
+    // node in the limbo list was unlinked, so this scan issues none.
+    void scan(bool covered = false) {
       obs::TraceSpan span(obs::TraceKind::kScan);
       const std::uint64_t stats_t0 = obs::scan_begin(stats_);
       // One heavy barrier covers the whole scan batch: every node in the
-      // limbo list was unlinked (and retired) before this point, so a
+      // limbo list was unlinked (and retired) before it started, so a
       // reader publication the barrier does not surface belongs to a
       // validating re-read that is ordered after the unlink and retries.
       // The registry head is read after the barrier, so the same argument
       // covers records of late-joining threads (DESIGN.md §7).
-      if (dom_->fence_path_ != asymfence::Path::kClassic) {
-        asymfence::heavy_barrier(dom_->fence_path_);
-        obs::count(stats_, obs::Counter::kHeavyBarriers);
-      }
+      this->reclaim_barrier(covered);
       std::uint64_t freed = 0;
       if constexpr (kSnapshotScan) {
         snapshot_.clear();
@@ -187,14 +184,23 @@ class HazardPointerDomain
     // flight, so nothing still relies on them).
     void prepare_leave() noexcept { end_op(); }
 
+    // Test hooks (layout pin): the word every protect() writes, the slot
+    // array pointer every scan reads, and the array itself.
+    const void* used_mask_address() const noexcept { return &used_mask_; }
+    const void* slots_address() const noexcept { return &slots_; }
+    const void* slot_array() const noexcept { return slots_.get(); }
+
    private:
     friend class HazardPointerDomain;
 
-    // Per-thread hazard slots (the record's alignment isolates them from
-    // other threads' lines); sized by cfg.slots_per_thread at handle
-    // construction, reused across join/leave cycles.
-    std::unique_ptr<std::atomic<ReclaimNode*>[]> slots_;
+    // Written by every protect(); declared before slots_ so it stays off
+    // the line every scan reads.
     std::uint32_t used_mask_ = 0;
+    // Per-thread hazard slots, on padded heap lines of their own; sized by
+    // cfg.slots_per_thread at handle construction, reused across join/leave
+    // cycles.  The pointer is read by every other thread's scan, so it
+    // starts a fresh line.
+    alignas(kFalseSharingRange) PaddedArray<std::atomic<ReclaimNode*>> slots_;
     // HPopt scratch, reused across scans; grows without bound instead of
     // being pre-reserved per thread.
     ChunkedList<ReclaimNode*> snapshot_;

@@ -126,6 +126,13 @@ class HyalineDomain : public DomainCore<HyalineDomain> {
     void retire(ReclaimNode* n) {
       n->debug_state = kNodeRetired;
       n->batch = nullptr;
+      // Another thread's completed barrier covers the open batch: seal it
+      // now, without a barrier of our own, once it has a member node per
+      // registry record.  The batch_capacity floor is a barrier-amortizing
+      // cadence, so it does not apply to a seal that issues no barrier.
+      const bool share = shares_barriers();
+      if (share && barrier_covered() && limbo_.count >= min_batch())
+        seal_batch(/*covered=*/true);
       push_to_batch(n);
       if (!dom_->bg_.active && adopt() > 0) {
         obs::count(stats_, obs::Counter::kOrphanAdoptions);
@@ -145,6 +152,7 @@ class HyalineDomain : public DomainCore<HyalineDomain> {
           seal_batch();
         }
       }
+      if (share) note_barrier_generation();
     }
 
     std::uint64_t on_alloc_era() noexcept {
@@ -195,21 +203,24 @@ class HyalineDomain : public DomainCore<HyalineDomain> {
 
     // A batch needs one member node per live registry record (each
     // insertion consumes a distinct node as the list entry) plus one, so
-    // the threshold adapts to membership: total_records() is incremented
+    // min_batch() adapts to membership: total_records() is incremented
     // before a record is published, so this bound can only over-estimate,
-    // never under-estimate, the chain seal_batch() will walk.  The floor is
-    // the configured batch capacity.
+    // never under-estimate, the chain seal_batch() will walk.  A seal that
+    // pays its own barrier also waits for the configured batch capacity.
+    unsigned min_batch() const noexcept {
+      return static_cast<unsigned>(dom_->registry_.total_records()) + 1;
+    }
     unsigned required_batch() const noexcept {
-      const auto total =
-          static_cast<unsigned>(dom_->registry_.total_records());
-      return std::max(dom_->batch_capacity_, total + 1);
+      return std::max(dom_->batch_capacity_, min_batch());
     }
 
     // Hands the accumulated batch to all active, era-overlapping slots.
     // The batch seal is Hyaline's reclaim cadence, so it carries the kScans
     // counter and the scan-latency histogram (nodes are counted as
     // reclaimed later, in free_batch, when the last reference drops).
-    void seal_batch() {
+    // `covered`: another thread's completed barrier started after every
+    // node in the batch was unlinked, so this seal issues none.
+    void seal_batch(bool covered = false) {
       obs::TraceSpan span(obs::TraceKind::kSeal);
       const std::uint64_t stats_t0 = obs::scan_begin(stats_);
       // Surface in-flight activations before reading the slots: every node
@@ -217,10 +228,7 @@ class HyalineDomain : public DomainCore<HyalineDomain> {
       // the barrier does not surface belongs to a thread whose shared
       // loads are all ordered after those unlinks — it cannot reach any
       // node of this batch, and skipping its slot is safe (DESIGN.md §5).
-      if (dom_->fence_path_ != asymfence::Path::kClassic) {
-        asymfence::heavy_barrier(dom_->fence_path_);
-        obs::count(stats_, obs::Counter::kHeavyBarriers);
-      }
+      reclaim_barrier(covered);
       // Snapshot the registry AFTER the barrier.  Records pushed after
       // this read are skippable by the same argument as an un-surfaced
       // activation; records in the snapshot cover every thread that could

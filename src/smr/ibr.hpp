@@ -104,16 +104,14 @@ class IbrDomain : public DomainCore<IbrDomain> {
       return dom_->clock_.load(std::memory_order_acquire);
     }
 
-    void scan() {
+    // `covered`: a shared barrier already covers the batch (DESIGN.md §5).
+    void scan(bool covered = false) {
       obs::TraceSpan span(obs::TraceKind::kScan);
       const std::uint64_t stats_t0 = obs::scan_begin(stats_);
       // Heavy barrier before the snapshot; the registry head is read after
       // it, so records of late-joining threads are covered by the same
       // argument (DESIGN.md §7).
-      if (dom_->fence_path_ != asymfence::Path::kClassic) {
-        asymfence::heavy_barrier(dom_->fence_path_);
-        obs::count(stats_, obs::Counter::kHeavyBarriers);
-      }
+      reclaim_barrier(covered);
       snapshot_.clear();
       dom_->collect_intervals(snapshot_);
       std::uint64_t freed = 0;

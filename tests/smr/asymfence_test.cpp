@@ -4,8 +4,15 @@
 // path.  Covers the slot schemes (HP/HPopt protect publication) and the
 // era schemes (EBR/IBR/Hyaline begin_op activation, HE first-slot publish;
 // Hyaline's "scan" is the retire-batch handoff plus the end_op drain).
+// Also covers barrier sharing: a heavy barrier completed in one domain lets
+// a handle in another scan (or seal) without issuing its own, never on the
+// fallback path; and the HP/HE slot layout that keeps protect() writes off
+// the lines every scan reads.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "common/align.hpp"
 #include "common/asymfence.hpp"
 #include "tests/test_util.hpp"
 
@@ -118,6 +125,140 @@ TYPED_TEST(AsymFenceTest, ProtectionHoldsOnEveryPath) {
         << (asym ? "asymmetric" : "classic") << " path lost a protection";
     reader.end_op();
   }
+}
+
+// --- barrier sharing (DESIGN.md §5, "Sharing one barrier") ----------------
+
+std::uint64_t cell(const obs::StatsCell* c, obs::Counter k) {
+  return c->counts[static_cast<unsigned>(k)].load();
+}
+
+// Threshold 16 for every scheme, Hyaline's batch floor included, so a
+// handful of retires is parked without any reclamation of its own.
+SmrConfig sharing_config() {
+  SmrConfig cfg = test::small_config(2);
+  cfg.asymmetric_fences = true;
+  cfg.batch_capacity = cfg.scan_threshold;
+  return cfg;
+}
+
+// One threshold-full of retires through a fresh handle of `a`: a scan (or
+// seal) that issues its own heavy barrier.
+template <class Smr>
+void barrier_from(Smr& a) {
+  auto h = scoped_handle(a);
+  test::churn_retire(h.get(), static_cast<int>(a.config().scan_threshold));
+  if (h->stats_ != nullptr) {
+    ASSERT_GT(cell(h->stats_, obs::Counter::kHeavyBarriers), 0u);
+  }
+}
+
+TYPED_TEST(AsymFenceTest, BarrierFromAnotherDomainCoversScan) {
+  const SmrConfig cfg = sharing_config();
+  TypeParam a(cfg);
+  TypeParam b(cfg);
+  if (b.fence_path() != asymfence::Path::kMembarrier) {
+    GTEST_SKIP() << "membarrier unavailable; barriers are not shared";
+  }
+  auto hb = scoped_handle(b);
+  test::churn_retire(hb.get(), 4);
+  ASSERT_EQ(b.pending_nodes(), 4) << "below the threshold, nothing is freed";
+  barrier_from(a);
+  test::churn_retire(hb.get(), 1);
+  EXPECT_EQ(b.pending_nodes(), 1)
+      << "the four parked nodes must be freed under a's barrier";
+  if (hb->stats_ != nullptr) {
+    EXPECT_GT(cell(hb->stats_, obs::Counter::kScans), 0u);
+    EXPECT_EQ(cell(hb->stats_, obs::Counter::kHeavyBarriers), 0u);
+  }
+}
+
+TYPED_TEST(AsymFenceTest, ReservedNodeSurvivesBarrierFreeScan) {
+  const SmrConfig cfg = sharing_config();
+  TypeParam a(cfg);
+  TypeParam b(cfg);
+  if (b.fence_path() != asymfence::Path::kMembarrier) {
+    GTEST_SKIP() << "membarrier unavailable; barriers are not shared";
+  }
+  auto reader_h = scoped_handle(b);
+  auto writer_h = scoped_handle(b);
+  auto& reader = reader_h.get();
+  auto& writer = writer_h.get();
+  auto* victim = writer.template alloc<TestNode>(std::uint64_t{42});
+  std::atomic<ReclaimNode*> src{victim};
+
+  reader.begin_op();
+  ASSERT_EQ(reader.protect(src, 0), victim);
+  writer.retire(victim);
+  test::churn_retire(writer, 3);
+  barrier_from(a);
+  test::churn_retire(writer, 1);  // the barrier-free scan / seal
+  if (writer.stats_ != nullptr) {
+    EXPECT_GT(cell(writer.stats_, obs::Counter::kScans), 0u);
+    EXPECT_EQ(cell(writer.stats_, obs::Counter::kHeavyBarriers), 0u);
+  }
+  EXPECT_EQ(victim->debug_state, kNodeRetired)
+      << "a barrier-free scan lost a reservation";
+  EXPECT_EQ(static_cast<TestNode*>(victim)->payload, 42u);
+  reader.end_op();
+
+  reclaim_after_release(writer);
+  EXPECT_EQ(victim->debug_state, kNodeFreed);
+}
+
+// A fallback barrier is a local fence and publishes no generation, so a
+// fallback domain's scans each pay their own, even after a membarrier
+// completes elsewhere in the process.
+TYPED_TEST(AsymFenceTest, FallbackNeverScansWithoutBarrier) {
+  const SmrConfig cfg = sharing_config();
+  TypeParam a(cfg);
+  if (a.fence_path() != asymfence::Path::kMembarrier) {
+    GTEST_SKIP() << "membarrier unavailable; no barrier to share";
+  }
+  ForcedFallback forced;
+  TypeParam b(cfg);
+  ASSERT_EQ(b.fence_path(), asymfence::Path::kFenceFallback);
+  auto hb = scoped_handle(b);
+  test::churn_retire(hb.get(), 4);
+  barrier_from(a);
+  test::churn_retire(hb.get(), 1);
+  EXPECT_EQ(b.pending_nodes(), 5)
+      << "a fallback domain reused another thread's barrier";
+  test::churn_retire(hb.get(), 100);
+  if (hb->stats_ != nullptr) {
+    const std::uint64_t scans = cell(hb->stats_, obs::Counter::kScans);
+    EXPECT_GT(scans, 0u);
+    EXPECT_EQ(cell(hb->stats_, obs::Counter::kHeavyBarriers), scans);
+  }
+}
+
+// HP/HE: every protect() writes used_mask_, every other thread's scan reads
+// the slot-array pointer, so the two sit in different false-sharing
+// ranges; and each array starts a range of its own, so two threads' slots
+// never share a line.
+template <class Smr>
+void expect_slot_lines_isolated() {
+  Smr smr(test::small_config(2));
+  auto h1 = scoped_handle(smr);
+  auto h2 = scoped_handle(smr);
+  const auto range = [](const void* p) {
+    return reinterpret_cast<std::uintptr_t>(p) / kFalseSharingRange;
+  };
+  for (const auto* h : {&h1.get(), &h2.get()}) {
+    EXPECT_NE(range(h->used_mask_address()), range(h->slots_address()))
+        << Smr::kName;
+    EXPECT_EQ(
+        reinterpret_cast<std::uintptr_t>(h->slot_array()) % kFalseSharingRange,
+        0u)
+        << Smr::kName;
+  }
+  EXPECT_NE(range(h1->slot_array()), range(h2->slot_array())) << Smr::kName;
+}
+
+TEST(HazardSlotLayout, ProtectWritesStayOffScannedLines) {
+  expect_slot_lines_isolated<HpDomain>();
+  expect_slot_lines_isolated<HpOptDomain>();
+  expect_slot_lines_isolated<HeDomain>();
 }
 
 TEST(AsymFencePathNames, AreStable) {
