@@ -80,6 +80,7 @@ class EbrDomain : public DomainCore<EbrDomain> {
       // reservations; a reservation the barrier does not surface belongs
       // to a thread whose first shared load is ordered after every unlink
       // in this batch (DESIGN.md §5, activation case).
+      limbo_.prefetch();
       reclaim_barrier(covered);
       const std::uint64_t min_res = dom_->min_reservation();
       ReclaimNode* n = limbo_.take();

@@ -126,6 +126,7 @@ class HeDomain : public DomainCore<HeDomain> {
       // validating re-read is ordered after every unlink in this batch.
       // The registry head is read after the barrier, so the same argument
       // covers records of late-joining threads (DESIGN.md §7).
+      limbo_.prefetch();
       reclaim_barrier(covered);
       // Reservation snapshot (sorted) — one pass over the live registry
       // per scan instead of one per retired node.

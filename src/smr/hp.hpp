@@ -146,6 +146,7 @@ class HazardPointerDomain
       // validating re-read that is ordered after the unlink and retries.
       // The registry head is read after the barrier, so the same argument
       // covers records of late-joining threads (DESIGN.md §7).
+      this->limbo_.prefetch();
       this->reclaim_barrier(covered);
       std::uint64_t freed = 0;
       if constexpr (kSnapshotScan) {

@@ -111,6 +111,7 @@ class IbrDomain : public DomainCore<IbrDomain> {
       // Heavy barrier before the snapshot; the registry head is read after
       // it, so records of late-joining threads are covered by the same
       // argument (DESIGN.md §7).
+      limbo_.prefetch();
       reclaim_barrier(covered);
       snapshot_.clear();
       dom_->collect_intervals(snapshot_);

@@ -3,8 +3,11 @@
 // operations, retire ordering, and adversarial protect/scan interleavings.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "tests/test_util.hpp"
 
@@ -186,6 +189,35 @@ TEST(NrEdge, RetireIsTerminal) {
 
 // Sink for the interleaving canary below (volatile keeps the read alive).
 volatile std::uint64_t g_canary_payload;
+
+// The scan prefetches recent[0, min(count, kRecent)): every such slot must
+// name a node still in the chain, past a wrap and after take() + re-push.
+TEST(LimboListEdge, RecentIndexNamesOnlyChainedNodes) {
+  constexpr unsigned kCap = LimboList::kRecent;
+  std::vector<ReclaimNode> nodes(kCap + kCap / 2);
+  LimboList l;
+  const auto check = [&l] {
+    std::set<const ReclaimNode*> chain;
+    for (const ReclaimNode* n = l.head; n != nullptr; n = n->smr_next)
+      chain.insert(n);
+    ASSERT_EQ(chain.size(), l.count);
+    for (unsigned i = 0; i < std::min(l.count, LimboList::kRecent); ++i)
+      EXPECT_TRUE(chain.count(l.recent[i])) << "slot " << i;
+  };
+  for (unsigned i = 0; i < kCap / 2; ++i) l.push(&nodes[i]);
+  check();
+  for (unsigned i = kCap / 2; i < nodes.size(); ++i) l.push(&nodes[i]);
+  check();  // wrapped: the slots hold the last kCap pushes
+  ReclaimNode* n = l.take();
+  EXPECT_EQ(l.count, 0u);
+  for (int kept = 0; n != nullptr && kept < 3; ++kept) {
+    ReclaimNode* next = n->smr_next;
+    l.push(n);  // a scan re-parks its survivors
+    n = next;
+  }
+  check();
+  EXPECT_EQ(l.count, 3u);
+}
 
 TEST(SchemeMatrix, ConcurrentProtectScanInterleaving) {
   // Adversarial interleaving: one thread protects/unprotects a hot pointer
